@@ -51,7 +51,6 @@ from .oracle import oracle_decide
 class RunConfig:
     input_path: str | None
     kmin: int
-    jobs: int
     seed: int
     oracle_cap: int
     json_output: bool
@@ -68,13 +67,9 @@ def _config(args: argparse.Namespace) -> RunConfig:
         kmin = 4 if paper_mode else 1
     if kmin < 1:
         raise InputFormatError("--kmin must be at least 1")
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise InputFormatError("--jobs must be at least 1")
     return RunConfig(
         input_path=getattr(args, "input", None),
         kmin=kmin,
-        jobs=jobs,
         seed=getattr(args, "seed", 0),
         oracle_cap=getattr(args, "oracle_cap", ENUMERATION_CAP),
         json_output=getattr(args, "json", False),
@@ -154,7 +149,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if cfg.kmin > models.n:
         raise InputFormatError(f"--kmin {cfg.kmin} exceeds n={models.n}")
     deadline = time.perf_counter() + cfg.timeout_s if cfg.timeout_s else None
-    report = decide(models, kmin=cfg.kmin, jobs=cfg.jobs, deadline=deadline)
+    report = decide(models, kmin=cfg.kmin, deadline=deadline)
     yes = report.answer is Answer.EXTRA_MODEL_EXISTS
     if cfg.verbose:
         t = report.timings
@@ -244,6 +239,8 @@ def _parse_pair(value: str, flag: str) -> tuple[int, int]:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    if args.jobs < 1:
+        raise InputFormatError("--jobs must be at least 1")
     specs: list[InstanceSpec] = []
     for n in args.exhaustive or []:
         specs.append(InstanceSpec(EXHAUSTIVE, n))
@@ -258,7 +255,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     result = differential_run(
         specs,
         kmin=cfg.kmin,
-        jobs=cfg.jobs,
+        jobs=args.jobs,
         cap=cfg.oracle_cap,
         quine_probe=args.quine_probe,
         closedness_sample=args.closedness_sample,
@@ -303,7 +300,6 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
         sub.add_argument("--input", required=True, help="model set file, one 0/1 assignment per line")
     sub.add_argument("--kmin", type=int, default=None, help="shortest cover stratum (default 1)")
     sub.add_argument("--paper-mode", action="store_true", help="shorthand for --kmin 4")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
     sub.add_argument("--seed", type=int, default=0, help="campaign seed")
     sub.add_argument("--oracle-cap", type=int, default=ENUMERATION_CAP, help="variable cap for enumeration")
     sub.add_argument("--json", action="store_true", help="JSON output on stdout")
@@ -340,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fuzz", help="differential campaign against the oracle")
     _add_common(p, with_input=False)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the campaign")
     p.add_argument("--exhaustive", type=int, action="append", metavar="N",
                    help="exhaustive sweep over all nonempty model sets of n variables")
     p.add_argument("--random", action="append", metavar="N:COUNT",

@@ -32,10 +32,6 @@ Clause = tuple[int, ...]
 ENUMERATION_CAP = 24
 
 
-def complement(lit: int) -> int:
-    return -lit
-
-
 def mk_clause(literals: Iterable[int]) -> Clause:
     """Canonicalize literals into a clause.
 

@@ -23,7 +23,6 @@ from .closure import (
     encode_clause,
     prefix_literal_masks,
     restrict_mask_clauses,
-    saturate_masks,
     three_limited_closure,
 )
 from .formula import (
@@ -38,9 +37,11 @@ from .formula import (
 from .inverse import (
     Answer,
     WitnessExtractionFailed,
+    analyze,
     candidate_formula,
     decide,
     prefix_cover,
+    probe,
 )
 from .oracle import oracle_decide
 
@@ -166,16 +167,6 @@ class Examination:
         return not self.agree or bool(self.quine_mismatch_prefixes)
 
 
-def _walk_says_yes(clause_masks: list[int], n: int, models: ModelSet, kmin: int) -> bool:
-    for prefix in prefix_cover(models, kmin).entries():
-        tm, fm = prefix_literal_masks(prefix)
-        restricted = restrict_mask_clauses(clause_masks, tm, fm)
-        closed_masks, _, _ = saturate_masks(restricted, n)
-        if 0 not in closed_masks:
-            return True
-    return False
-
-
 def examine_instance(
     instance_id: str,
     seed: int,
@@ -195,12 +186,13 @@ def examine_instance(
     how many restrictions were already closed before saturation.
     """
     n = models.n
+    analysis = analyze(models)
     error = None
     algo_answer = "error"
     witness = None
     algo_yes = False
     try:
-        report = decide(models, kmin=kmin)
+        report = decide(analysis, kmin=kmin)
         algo_answer = report.answer.value
         witness = report.witness
         algo_yes = report.answer is Answer.EXTRA_MODEL_EXISTS
@@ -213,25 +205,21 @@ def examine_instance(
     witness_ok = (not algo_yes) or (witness in extra_set)
     agree = error is None and algo_yes == oracle_yes and witness_ok
 
-    masks = None
     alt_compared = False
     alt_divergence = False
     if alt_kmin is not None and 1 <= alt_kmin <= n and alt_kmin != kmin and error is None:
-        masks = [encode_clause(c) for c in three_limited_closure(candidate_formula(models)).closed_formula.clauses]
         alt_compared = True
-        alt_divergence = _walk_says_yes(masks, n, models, alt_kmin) != algo_yes
+        alt_yes = any(0 not in probe(analysis, p)[0] for p in prefix_cover(models, alt_kmin).entries())
+        alt_divergence = alt_yes != algo_yes
 
     quine_pairs = 0
     mismatches: list[str] = []
     closed_restrictions = 0
     checked_restrictions = 0
     if quine_probe or closedness_stats:
-        if masks is None:
-            masks = [encode_clause(c) for c in three_limited_closure(candidate_formula(models)).closed_formula.clauses]
+        closed_sat = satisfying_mask(analysis.closed) if quine_probe else 0
         for prefix in prefix_cover(models, 1).entries():
-            tm, fm = prefix_literal_masks(prefix)
-            restricted = restrict_mask_clauses(masks, tm, fm)
-            closed_masks, steps, deletions = saturate_masks(restricted, n)
+            closed_masks, steps, deletions = probe(analysis, prefix)
             if closedness_stats:
                 checked_restrictions += 1
                 if steps == 0 and deletions == 0:
@@ -239,7 +227,10 @@ def examine_instance(
             if quine_probe:
                 quine_pairs += 1
                 no_empty = 0 not in closed_masks
-                sat = satisfying_mask(Cnf(n, frozenset(decode_mask(m) for m in restricted))) != 0
+                # the restriction is satisfiable iff a model of the closed
+                # formula extends the prefix: a window of its truth table
+                free = n - len(prefix)
+                sat = (closed_sat >> (int(prefix, 2) << free)) & ((1 << (1 << free)) - 1) != 0
                 if sat != no_empty:
                     mismatches.append(prefix)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .closure import (
     decode_mask,
@@ -254,10 +254,49 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
     return prefix + suffix
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """One model set's candidate formula, its closure and the closure's
+    clause masks, built once and shared by every walk over its cover.
+
+    `probes` memoises `probe` per prefix: the saturated clause set and its
+    counters, never the restricted set that fed them.
+    """
+
+    models: ModelSet
+    raw: Cnf
+    closed: Cnf
+    masks: tuple[int, ...]
+    build_s: float
+    probes: dict[str, tuple[frozenset[int], int, int]] = field(default_factory=dict, compare=False)
+
+
+def analyze(models: ModelSet) -> Analysis:
+    """Build the candidate formula and its bounded-resolution closure."""
+    start = time.perf_counter()
+    raw = candidate_formula(models)
+    closed = three_limited_closure(raw).closed_formula
+    masks = tuple(encode_clause(c) for c in closed.clauses)
+    return Analysis(models, raw, closed, masks, time.perf_counter() - start)
+
+
+def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
+    """Restrict the closed formula by a prefix and saturate, once per prefix.
+
+    Returns the saturated clause masks (0 is the empty clause), the
+    resolvents added and the clauses deleted by subsumption.
+    """
+    result = analysis.probes.get(prefix)
+    if result is None:
+        true_mask, false_mask = prefix_literal_masks(prefix)
+        restricted = restrict_mask_clauses(analysis.masks, true_mask, false_mask)
+        result = analysis.probes[prefix] = saturate_masks(restricted, analysis.models.n)
+    return result
+
+
 def decide(
-    models: ModelSet,
+    models: ModelSet | Analysis,
     kmin: int = 1,
-    jobs: int = 1,
     deadline: float | None = None,
 ) -> DecisionReport:
     """Decide whether the candidate formula has a model outside the set.
@@ -266,37 +305,31 @@ def decide(
     construction order within a stratum) and stops at the first prefix
     whose restricted closure lacks the empty clause; the witness built
     there is verified against the raw candidate formula and the model set
-    before it is reported.  `deadline` is a wall-clock instant after which
-    the walk aborts with TimeoutError.
+    before it is reported.  `models` may be an `analyze` result, whose
+    probes the walk then shares with other walks over the same set; step
+    1's timing is always the analysis' build time.  `deadline` is a
+    wall-clock instant after which the walk aborts with TimeoutError.
     """
-    t0 = time.perf_counter()
-    raw = candidate_formula(models)
-    closed = three_limited_closure(raw)
-    formula = closed.closed_formula
+    analysis = models if isinstance(models, Analysis) else analyze(models)
+    models = analysis.models
     t1 = time.perf_counter()
     cover = prefix_cover(models, kmin)
     t2 = time.perf_counter()
 
-    clause_masks = [encode_clause(c) for c in formula.clauses]
     member = models.member_set()
     trace: list[PrefixRecord] = []
     witness = None
     answer = Answer.NO_EXTRA_MODEL
-
-    if jobs > 1:
-        records = _walk_parallel(clause_masks, models.n, cover, jobs)
-    else:
-        records = _walk_serial(clause_masks, models.n, cover, deadline)
-
-    for prefix, closed_masks in records:
+    for prefix in cover.entries():
         if deadline is not None and time.perf_counter() > deadline:
             raise TimeoutError("prefix walk exceeded its deadline")
+        closed_masks = probe(analysis, prefix)[0]
         clauses = tuple(sorted((decode_mask(m) for m in closed_masks), key=clause_sort_key))
         empty = 0 in closed_masks
         trace.append(PrefixRecord(prefix, len(closed_masks), empty, clauses))
         if not empty:
-            witness = extract_witness(formula, prefix)
-            if witness in member or not evaluate(raw, witness):
+            witness = extract_witness(analysis.closed, prefix)
+            if witness in member or not evaluate(analysis.raw, witness):
                 raise WitnessExtractionFailed(
                     f"witness {witness} for prefix {prefix} failed verification"
                 )
@@ -312,57 +345,8 @@ def decide(
         cover_size=cover.total(),
         trace=tuple(trace),
         timings={
-            "step1_candidate_closure": t1 - t0,
+            "step1_candidate_closure": analysis.build_s,
             "step2_prefix_cover": t2 - t1,
             "step3_prefix_walk": t3 - t2,
         },
     )
-
-
-def _walk_serial(
-    clause_masks: list[int], n: int, cover: PrefixCover, deadline: float | None
-) -> Iterator[tuple[str, frozenset[int]]]:
-    for prefix in cover.entries():
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeoutError("prefix walk exceeded its deadline")
-        true_mask, false_mask = prefix_literal_masks(prefix)
-        restricted = restrict_mask_clauses(clause_masks, true_mask, false_mask)
-        closed_masks, _, _ = saturate_masks(restricted, n)
-        yield prefix, closed_masks
-
-
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _walk_worker_init(clause_masks: list[int], n: int) -> None:
-    _WORKER_STATE["masks"] = clause_masks
-    _WORKER_STATE["n"] = n
-
-
-def _walk_worker(prefix: str) -> tuple[str, frozenset[int]]:
-    clause_masks = _WORKER_STATE["masks"]
-    n = _WORKER_STATE["n"]
-    true_mask, false_mask = prefix_literal_masks(prefix)
-    restricted = restrict_mask_clauses(clause_masks, true_mask, false_mask)
-    closed_masks, _, _ = saturate_masks(restricted, n)
-    return prefix, closed_masks
-
-
-def _walk_parallel(
-    clause_masks: list[int], n: int, cover: PrefixCover, jobs: int
-) -> Iterator[tuple[str, frozenset[int]]]:
-    """Same records as the serial walk, in the same order.
-
-    Prefixes are dealt to a process pool but results are consumed strictly
-    in canonical order, so the first empty-clause-free prefix (and with it
-    the witness) is independent of scheduling.
-    """
-    import multiprocessing
-
-    prefixes = list(cover.entries())
-    if len(prefixes) < 2 * jobs:
-        yield from _walk_serial(clause_masks, n, cover, None)
-        return
-    chunk = max(8, len(prefixes) // (jobs * 8))
-    with multiprocessing.Pool(jobs, _walk_worker_init, (clause_masks, n)) as pool:
-        yield from pool.imap(_walk_worker, prefixes, chunksize=chunk)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .formula import (
     CapExceeded,
-    Cnf,
     ENUMERATION_CAP,
     ModelSet,
     assignment_mask,
@@ -57,9 +56,3 @@ def verify_witness(models: ModelSet, witness: str) -> bool:
         return False
     return evaluate(candidate_formula(models), witness)
 
-
-def verify_witness_against(formula: Cnf, members: frozenset[str], witness: str) -> bool:
-    """Same check with a precomputed candidate formula, for harness loops."""
-    if len(witness) != formula.num_vars or set(witness) - {"0", "1"}:
-        return False
-    return witness not in members and evaluate(formula, witness)

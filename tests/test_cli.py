@@ -211,6 +211,14 @@ class TestFuzzCommand:
         code, _, _ = run(capsys, "fuzz")
         assert code == 2
 
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, _, _ = run(capsys, "fuzz", "--random", "4:2", "--jobs", "0")
+        assert code == 2
+
+    def test_jobs_is_a_fuzz_flag_only(self, capsys, worked_file):
+        with pytest.raises(SystemExit):
+            main(["decide", "--input", worked_file, "--jobs", "2"])
+
 
 class TestBenchCommand:
     def test_csv_to_stdout(self, capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from inv3sat import Answer, ModelSet, oracle_decide
+from inv3sat import Answer, ModelSet, harness, oracle_decide
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -110,6 +110,14 @@ class TestExamineInstance:
         exam = examine_instance("worked", 0, ms, kmin=1, quine_probe=True)
         assert exam.quine_pairs == 14
         assert exam.quine_mismatch_prefixes == ()
+
+    def test_quine_probe_flags_satisfiable_restrictions(self, monkeypatch):
+        # A probe that always derives the empty clause is wrong exactly on
+        # the prefixes that an extra model (00101 01111 10111 11101) extends.
+        monkeypatch.setattr(harness, "probe", lambda analysis, prefix: (frozenset({0}), 0, 0))
+        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1, quine_probe=True)
+        assert exam.quine_mismatch_prefixes == ("1011", "0111", "11101", "00101")
+        assert exam.needs_attention()
 
     def test_closedness_stats_collected(self):
         ms = ModelSet(5, WORKED_MODELS)

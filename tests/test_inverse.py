@@ -18,7 +18,10 @@ from inv3sat import (
     model_prefixes,
     prefix_cover,
 )
+from inv3sat.closure import prefix_literal_masks, restrict_mask_clauses
 from inv3sat.formula import InputTooSmall, satisfies_clause
+from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
+from inv3sat.inverse import analyze, probe
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -218,14 +221,12 @@ class TestDecide:
         assert report.cover_size == 0
         assert report.trace == ()
 
-    def test_parallel_matches_serial(self, worked_models):
-        serial = decide(worked_models, kmin=1, jobs=1)
-        parallel = decide(worked_models, kmin=1, jobs=2)
-        assert parallel.answer == serial.answer
-        assert parallel.witness == serial.witness
-        assert [r.prefix for r in parallel.trace] == [
-            r.prefix for r in serial.trace
-        ]
+    def test_analysis_gives_the_same_report(self, worked_models):
+        direct = decide(worked_models, kmin=1)
+        shared = decide(analyze(worked_models), kmin=1)
+        assert shared.answer == direct.answer
+        assert shared.witness == direct.witness
+        assert shared.trace == direct.trace
 
     def test_deadline_expiry_raises(self, worked_models):
         with pytest.raises(TimeoutError):
@@ -273,3 +274,46 @@ class TestExtractWitness:
             return
         assert w.startswith(prefix)
         assert evaluate(closed, w)
+
+
+class TestProbe:
+    def test_memoised_per_prefix(self, worked_models):
+        analysis = analyze(worked_models)
+        first = probe(analysis, "1011")
+        assert probe(analysis, "1011") is first
+        assert list(analysis.probes) == ["1011"]
+        assert 0 not in first[0]
+
+    def test_walks_share_probes(self, worked_models):
+        analysis = analyze(worked_models)
+        decide(analysis, kmin=1)
+        walked = dict(analysis.probes)
+        decide(analysis, kmin=4)
+        assert analysis.probes == walked
+
+
+def _short_prefixes_hit_empty_clause(ms):
+    analysis = analyze(ms)
+    for prefix in prefix_cover(ms, 1).entries():
+        if len(prefix) > 3:
+            break
+        restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
+        assert 0 in restricted, (ms.models, prefix)
+
+
+class TestShortStrataNeedNoSaturation:
+    # A cover prefix p of length <= 3 starts no model, so every model
+    # satisfies the clause falsified exactly by p.  That clause has width
+    # <= 3, so the closed candidate holds it or a clause subsuming it, and
+    # restricting by p leaves the empty clause before any saturation.  The
+    # strata below 4 therefore never answer yes, which is why kmin=1 and
+    # kmin=4 always agree.
+
+    def test_exhaustive_n3(self):
+        for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
+            _short_prefixes_hit_empty_clause(ms)
+
+    def test_random_n4_to_n9(self):
+        for n in range(4, 10):
+            for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=167, seed=20261018)):
+                _short_prefixes_hit_empty_clause(ms)

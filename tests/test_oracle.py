@@ -10,7 +10,6 @@ from inv3sat import (
     oracle_decide,
     verify_witness,
 )
-from inv3sat.oracle import verify_witness_against
 
 from conftest import WORKED_EXTRAS, WORKED_WITNESS
 from strategies import model_sets
@@ -83,9 +82,3 @@ class TestVerifyWitness:
     def test_all_golden_extras_verify(self, worked_models):
         for extra in WORKED_EXTRAS:
             assert verify_witness(worked_models, extra)
-
-    def test_verify_against_formula(self, worked_models):
-        f = candidate_formula(worked_models)
-        members = worked_models.member_set()
-        assert verify_witness_against(f, members, WORKED_WITNESS)
-        assert not verify_witness_against(f, members, "00111")
