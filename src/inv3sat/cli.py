@@ -1,10 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 means the run completed (the answer is in the output), 2
-means the input or configuration was unusable, 3 means the pipeline caught
-itself in an internal inconsistency.  Stdout is deterministic for a given
-input and configuration; timings and progress go to stderr under
---verbose.
+means the input or configuration was unusable or `decide --timeout`
+expired, 3 means the pipeline caught itself in an internal inconsistency.
+Stdout is deterministic for a given input and configuration; timings and
+progress go to stderr under --verbose.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .formats import (
@@ -23,7 +22,7 @@ from .formats import (
     write_cover,
     write_dimacs,
 )
-from .formula import CapExceeded, Cnf, ENUMERATION_CAP, InputTooSmall, ModelSet
+from .formula import CapExceeded, Cnf, ENUMERATION_CAP, InputTooSmall
 from .harness import (
     EXHAUSTIVE,
     GeneratorExhausted,
@@ -47,48 +46,22 @@ from .closure import three_limited_closure
 from .oracle import oracle_decide
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input_path: str | None
-    kmin: int
-    seed: int
-    oracle_cap: int
-    json_output: bool
-    verbose: bool
-    timeout_s: float | None
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    kmin = getattr(args, "kmin", None)
-    paper_mode = getattr(args, "paper_mode", False)
-    if kmin is not None and paper_mode and kmin != 4:
+def _kmin(args: argparse.Namespace) -> int:
+    """The shortest cover stratum, from --kmin or --paper-mode (default 1)."""
+    if args.kmin is not None and args.paper_mode and args.kmin != 4:
         raise InputFormatError("--kmin and --paper-mode disagree; pick one")
+    kmin = args.kmin
     if kmin is None:
-        kmin = 4 if paper_mode else 1
+        kmin = 4 if args.paper_mode else 1
     if kmin < 1:
         raise InputFormatError("--kmin must be at least 1")
-    return RunConfig(
-        input_path=getattr(args, "input", None),
-        kmin=kmin,
-        seed=getattr(args, "seed", 0),
-        oracle_cap=getattr(args, "oracle_cap", ENUMERATION_CAP),
-        json_output=getattr(args, "json", False),
-        verbose=getattr(args, "verbose", False),
-        timeout_s=getattr(args, "timeout", None),
-    )
-
-
-def _load_models(cfg: RunConfig) -> ModelSet:
-    if cfg.input_path is None:
-        raise InputFormatError("--input is required")
-    return read_models(Path(cfg.input_path).read_text())
+    return kmin
 
 
 def cmd_candidate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    models = _load_models(cfg)
+    models = read_models(Path(args.input).read_text())
     formula = candidate_formula(models)
-    if cfg.json_output:
+    if args.json:
         payload = {
             "num_vars": formula.num_vars,
             "clause_count": len(formula.clauses),
@@ -101,16 +74,15 @@ def cmd_candidate(args: argparse.Namespace) -> int:
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    models = _load_models(cfg)
+    models = read_models(Path(args.input).read_text())
     result = three_limited_closure(candidate_formula(models))
-    if cfg.verbose:
+    if args.verbose:
         print(
             f"resolution_steps={result.resolution_steps} "
             f"subsumption_deletions={result.subsumption_deletions}",
             file=sys.stderr,
         )
-    if cfg.json_output:
+    if args.json:
         payload = {
             "num_vars": result.closed_formula.num_vars,
             "clause_count": len(result.closed_formula.clauses),
@@ -125,12 +97,12 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    models = _load_models(cfg)
-    if cfg.kmin > models.n:
-        raise InputFormatError(f"--kmin {cfg.kmin} exceeds n={models.n}")
-    cover = prefix_cover(models, cfg.kmin)
-    if cfg.json_output:
+    kmin = _kmin(args)
+    models = read_models(Path(args.input).read_text())
+    if kmin > models.n:
+        raise InputFormatError(f"--kmin {kmin} exceeds n={models.n}")
+    cover = prefix_cover(models, kmin)
+    if args.json:
         payload = {
             "n": cover.n,
             "kmin": cover.kmin,
@@ -144,14 +116,14 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    models = _load_models(cfg)
-    if cfg.kmin > models.n:
-        raise InputFormatError(f"--kmin {cfg.kmin} exceeds n={models.n}")
-    deadline = time.perf_counter() + cfg.timeout_s if cfg.timeout_s else None
-    report = decide(models, kmin=cfg.kmin, deadline=deadline)
+    kmin = _kmin(args)
+    models = read_models(Path(args.input).read_text())
+    if kmin > models.n:
+        raise InputFormatError(f"--kmin {kmin} exceeds n={models.n}")
+    deadline = time.perf_counter() + args.timeout if args.timeout else None
+    report = decide(models, kmin=kmin, deadline=deadline)
     yes = report.answer is Answer.EXTRA_MODEL_EXISTS
-    if cfg.verbose:
+    if args.verbose:
         t = report.timings
         print(
             "timings: "
@@ -160,7 +132,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
             f"step3={t['step3_prefix_walk']:.3f}s",
             file=sys.stderr,
         )
-    if cfg.json_output:
+    if args.json:
         payload = {
             "n": report.n,
             "kmin": report.kmin,
@@ -199,12 +171,11 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    models = _load_models(cfg)
-    verdict = oracle_decide(models, cap=cfg.oracle_cap)
+    models = read_models(Path(args.input).read_text())
+    verdict = oracle_decide(models, cap=args.oracle_cap)
     yes = verdict.extra_model_exists()
     shown = verdict.extra_models[:32]
-    if cfg.json_output:
+    if args.json:
         payload = {
             "n": models.n,
             "checked_count": verdict.checked_count,
@@ -232,31 +203,38 @@ def _parse_pair(value: str, flag: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise InputFormatError(f"{flag} wants N:COUNT, got {value!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        n, count = int(parts[0]), int(parts[1])
     except ValueError:
         raise InputFormatError(f"{flag} wants integers, got {value!r}") from None
+    if n < 3 or count < 0:
+        raise InputFormatError(f"{flag} wants N >= 3 and COUNT >= 0, got {value!r}")
+    return n, count
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    kmin = _kmin(args)
     if args.jobs < 1:
         raise InputFormatError("--jobs must be at least 1")
+    if args.closedness_sample < 0:
+        raise InputFormatError("--closedness-sample must be at least 0")
     specs: list[InstanceSpec] = []
     for n in args.exhaustive or []:
+        if not 3 <= n <= 4:
+            raise InputFormatError(f"--exhaustive wants N of 3 or 4, got {n}")
         specs.append(InstanceSpec(EXHAUSTIVE, n))
     for value in args.random or []:
         n, count = _parse_pair(value, "--random")
-        specs.append(InstanceSpec(RANDOM_SUBSET, n, count=count, seed=cfg.seed))
+        specs.append(InstanceSpec(RANDOM_SUBSET, n, count=count, seed=args.seed))
     for value in args.cnf_random or []:
         n, count = _parse_pair(value, "--cnf-random")
-        specs.append(InstanceSpec(RANDOM_3CNF_MODELS, n, count=count, seed=cfg.seed))
+        specs.append(InstanceSpec(RANDOM_3CNF_MODELS, n, count=count, seed=args.seed))
     if not specs:
         raise InputFormatError("nothing to fuzz; pass --exhaustive, --random or --cnf-random")
     result = differential_run(
         specs,
-        kmin=cfg.kmin,
+        kmin=kmin,
         jobs=args.jobs,
-        cap=cfg.oracle_cap,
+        cap=args.oracle_cap,
         quine_probe=args.quine_probe,
         closedness_sample=args.closedness_sample,
     )
@@ -268,13 +246,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         (out / "records.txt").write_text(records)
         (out / "summary.json").write_text(summary)
         print(f"wrote {out / 'records.txt'} and {out / 'summary.json'}")
-    if cfg.json_output or not args.out:
-        sys.stdout.write(summary if cfg.json_output else records)
+    if args.json or not args.out:
+        sys.stdout.write(summary if args.json else records)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     try:
         n_values = [int(v) for v in args.n_values.split(",") if v]
     except ValueError:
@@ -282,9 +259,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = bench_scaling(
         n_values,
         trials=args.trials,
-        seed=cfg.seed,
+        seed=args.seed,
         models_factor=args.models_factor,
-        timeout_s=cfg.timeout_s or 60.0,
+        timeout_s=args.timeout or 60.0,
     )
     text = bench_csv(rows)
     if args.out:
@@ -295,16 +272,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        sub.add_argument("--input", required=True, help="model set file, one 0/1 assignment per line")
-    sub.add_argument("--kmin", type=int, default=None, help="shortest cover stratum (default 1)")
-    sub.add_argument("--paper-mode", action="store_true", help="shorthand for --kmin 4")
-    sub.add_argument("--seed", type=int, default=0, help="campaign seed")
-    sub.add_argument("--oracle-cap", type=int, default=ENUMERATION_CAP, help="variable cap for enumeration")
-    sub.add_argument("--json", action="store_true", help="JSON output on stdout")
-    sub.add_argument("--verbose", action="store_true", help="diagnostics on stderr")
-    sub.add_argument("--timeout", type=float, default=None, help="per-instance time budget in seconds")
+_FLAGS = {
+    "--input": dict(required=True, help="model set file, one 0/1 assignment per line"),
+    "--kmin": dict(type=int, default=None, help="shortest cover stratum (default 1)"),
+    "--paper-mode": dict(action="store_true", help="shorthand for --kmin 4"),
+    "--seed": dict(type=int, default=0, help="campaign seed"),
+    "--oracle-cap": dict(type=int, default=ENUMERATION_CAP, help="variable cap for enumeration"),
+    "--json": dict(action="store_true", help="JSON output on stdout"),
+    "--verbose": dict(action="store_true", help="diagnostics on stderr"),
+    "--timeout": dict(type=float, default=None, help="per-instance time budget in seconds"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,27 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("candidate", help="emit the candidate formula as DIMACS")
-    _add_common(p)
+    _add_flags(p, "--input", "--json")
     p.set_defaults(func=cmd_candidate)
 
     p = subs.add_parser("closure", help="emit the closed candidate formula as DIMACS")
-    _add_common(p)
+    _add_flags(p, "--input", "--json", "--verbose")
     p.set_defaults(func=cmd_closure)
 
     p = subs.add_parser("cover", help="list the complement-covering prefixes")
-    _add_common(p)
+    _add_flags(p, "--input", "--kmin", "--paper-mode", "--json")
     p.set_defaults(func=cmd_cover)
 
     p = subs.add_parser("decide", help="run the full decision pipeline")
-    _add_common(p)
+    _add_flags(p, "--input", "--kmin", "--paper-mode", "--json", "--verbose", "--timeout")
     p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("oracle", help="brute-force reference answer")
-    _add_common(p)
+    _add_flags(p, "--input", "--oracle-cap", "--json")
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("fuzz", help="differential campaign against the oracle")
-    _add_common(p, with_input=False)
+    _add_flags(p, "--kmin", "--paper-mode", "--seed", "--oracle-cap", "--json")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the campaign")
     p.add_argument("--exhaustive", type=int, action="append", metavar="N",
                    help="exhaustive sweep over all nonempty model sets of n variables")
@@ -351,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz)
 
     p = subs.add_parser("bench", help="scaling benchmark, CSV per step")
-    _add_common(p, with_input=False)
+    _add_flags(p, "--seed", "--timeout")
     p.add_argument("--n-values", default="5,10,15,20,25,30", help="comma-separated variable counts")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--models-factor", type=int, default=2, help="models per instance = factor * n")
@@ -369,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputFormatError, InputTooSmall, CapExceeded, GeneratorExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WitnessExtractionFailed as exc:

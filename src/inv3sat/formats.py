@@ -7,7 +7,7 @@ iteration order.
 
 from __future__ import annotations
 
-from .formula import Clause, Cnf, ModelSet, cnf_of
+from .formula import Clause, Cnf, ModelSet, TautologyRejected, cnf_of
 from .inverse import PrefixCover
 
 
@@ -58,7 +58,7 @@ def read_dimacs(text: str) -> Cnf:
         raise InputFormatError(f"problem line declares {declared} clauses, found {len(clauses)}")
     try:
         return cnf_of(num_vars, clauses)
-    except ValueError as exc:
+    except (TautologyRejected, ValueError) as exc:
         raise InputFormatError(str(exc)) from None
 
 

@@ -84,7 +84,13 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:
 
 @dataclass(frozen=True)
 class Cnf:
-    """A CNF formula: a duplicate-free set of clauses over num_vars variables."""
+    """A CNF formula: a duplicate-free set of clauses over num_vars variables.
+
+    Every clause must be canonical (as mk_clause returns it) and mention no
+    variable beyond num_vars.  That is not re-checked here: clauses from
+    outside the program enter through cnf_of, and the pipeline builds
+    canonical clauses by construction.
+    """
 
     num_vars: int
     clauses: frozenset[Clause] = field(default_factory=frozenset)
@@ -93,11 +99,6 @@ class Cnf:
         object.__setattr__(self, "clauses", frozenset(self.clauses))
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for clause in self.clauses:
-            if clause != mk_clause(clause):
-                raise ValueError(f"clause {clause!r} is not in canonical form")
-            if clause and abs(clause[-1]) > self.num_vars:
-                raise ValueError(f"clause {clause!r} mentions a variable beyond {self.num_vars}")
 
     def ordered(self) -> tuple[Clause, ...]:
         """Clauses in canonical order; emission and reports depend on it."""
@@ -108,8 +109,16 @@ class Cnf:
 
 
 def cnf_of(num_vars: int, raw_clauses: Iterable[Iterable[int]]) -> Cnf:
-    """Build a Cnf from raw literal collections, canonicalizing each."""
-    return Cnf(num_vars, frozenset(mk_clause(c) for c in raw_clauses))
+    """Build a Cnf from raw literal collections, canonicalizing each.
+
+    A complementary pair raises TautologyRejected; literal 0 or a variable
+    beyond num_vars raises ValueError.
+    """
+    clauses = frozenset(mk_clause(c) for c in raw_clauses)
+    for clause in clauses:
+        if clause and abs(clause[-1]) > num_vars:
+            raise ValueError(f"clause {clause!r} mentions a variable beyond {num_vars}")
+    return Cnf(num_vars, clauses)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ EXHAUSTIVE = "exhaustive"
 RANDOM_SUBSET = "random-subset"
 RANDOM_3CNF_MODELS = "random-3cnf-models"
 
+MAX_DIVERGENCE_EXAMPLES = 100
+
 
 class GeneratorExhausted(RuntimeError):
     """A bounded retry budget ran out without producing an instance."""
@@ -205,11 +207,13 @@ def examine_instance(
     witness_ok = (not algo_yes) or (witness in extra_set)
     agree = error is None and algo_yes == oracle_yes and witness_ok
 
-    alt_compared = False
+    alt_compared = alt_kmin is not None and 1 <= alt_kmin <= n and alt_kmin != kmin and error is None
+    # strata do not depend on kmin, so every walk here takes its prefixes
+    # from the one full cover
+    cover = prefix_cover(models, 1).entries() if alt_compared or quine_probe or closedness_stats else ()
     alt_divergence = False
-    if alt_kmin is not None and 1 <= alt_kmin <= n and alt_kmin != kmin and error is None:
-        alt_compared = True
-        alt_yes = any(0 not in probe(analysis, p)[0] for p in prefix_cover(models, alt_kmin).entries())
+    if alt_compared:
+        alt_yes = any(0 not in probe(analysis, p)[0] for p in cover if len(p) >= alt_kmin)
         alt_divergence = alt_yes != algo_yes
 
     quine_pairs = 0
@@ -218,7 +222,7 @@ def examine_instance(
     checked_restrictions = 0
     if quine_probe or closedness_stats:
         closed_sat = satisfying_mask(analysis.closed) if quine_probe else 0
-        for prefix in prefix_cover(models, 1).entries():
+        for prefix in cover:
             closed_masks, steps, deletions = probe(analysis, prefix)
             if closedness_stats:
                 checked_restrictions += 1
@@ -509,18 +513,18 @@ def differential_run(
     jobs: int = 1,
     cap: int = ENUMERATION_CAP,
     quine_probe: bool = False,
-    compare_alt_kmin: bool = True,
     closedness_sample: int = 0,
-    max_divergence_examples: int = 100,
 ) -> CampaignResult:
     """Score every generated instance against the oracle and classify failures.
 
-    closedness_sample=0 collects already-closed-restriction statistics on
-    every instance when quine_probe is set and on none otherwise; a value
-    s > 0 samples every s-th instance.  Output is a pure function of specs
-    and configuration: identical runs render identical reports.
+    Every instance is also walked at the other cover floor (4 for kmin=1,
+    else 1).  closedness_sample=0 collects already-closed-restriction
+    statistics on every instance when quine_probe is set and on none
+    otherwise; a value s > 0 samples every s-th instance.  Output is a pure
+    function of specs and configuration: identical runs render identical
+    reports.
     """
-    alt = (4 if kmin == 1 else 1) if compare_alt_kmin else None
+    alt = 4 if kmin == 1 else 1
 
     def payloads() -> Iterator[tuple]:
         counter = 0
@@ -567,7 +571,7 @@ def differential_run(
                 alt_compared += 1
                 if exam.alt_divergence:
                     alt_divergences += 1
-                    if len(divergence_examples) < max_divergence_examples:
+                    if len(divergence_examples) < MAX_DIVERGENCE_EXAMPLES:
                         divergence_examples.append(
                             f"{exam.instance_id} n={exam.n} models={','.join(exam.models)}"
                         )

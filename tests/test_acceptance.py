@@ -45,6 +45,11 @@ from conftest import (
 
 CAMPAIGN_SEED = 20260822
 
+# Fixed rather than cpu_count: campaign reports do not depend on jobs
+# (test_harness checks serial against parallel), and two workers halve the
+# gate's wall time without oversubscribing a small host.
+CAMPAIGN_JOBS = 2
+
 # Sampled volume per variable count; 100000 instances total, weighted
 # toward the cheap sizes so the whole sweep stays inside a coffee break.
 SAMPLED_PLAN = {
@@ -62,14 +67,14 @@ SAMPLED_PLAN = {
 @pytest.fixture(scope="module")
 def campaign_n3():
     return differential_run(
-        [InstanceSpec(EXHAUSTIVE, 3)], kmin=1, quine_probe=True
+        [InstanceSpec(EXHAUSTIVE, 3)], kmin=1, jobs=CAMPAIGN_JOBS, quine_probe=True
     )
 
 
 @pytest.fixture(scope="module")
 def campaign_n4():
     return differential_run(
-        [InstanceSpec(EXHAUSTIVE, 4)], kmin=1, quine_probe=True
+        [InstanceSpec(EXHAUSTIVE, 4)], kmin=1, jobs=CAMPAIGN_JOBS, quine_probe=True
     )
 
 
@@ -91,7 +96,7 @@ def campaign_sampled():
                 seed=CAMPAIGN_SEED + 100 + n,
             )
         )
-    return differential_run(specs, kmin=1, closedness_sample=50)
+    return differential_run(specs, kmin=1, jobs=CAMPAIGN_JOBS, closedness_sample=50)
 
 
 def _random_narrow_formula(rng, n, max_clauses=8):

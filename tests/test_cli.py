@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from inv3sat.cli import main
+from inv3sat.cli import build_parser, main
 
 from conftest import WORKED_MODELS
 
@@ -25,6 +25,55 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The flags each subcommand reads; any other of these is an argparse error.
+COMMAND_FLAGS = {
+    "candidate": ("--input", "--json"),
+    "closure": ("--input", "--json", "--verbose"),
+    "cover": ("--input", "--kmin", "--paper-mode", "--json"),
+    "decide": ("--input", "--kmin", "--paper-mode", "--json", "--verbose", "--timeout"),
+    "oracle": ("--input", "--oracle-cap", "--json"),
+    "fuzz": ("--kmin", "--paper-mode", "--seed", "--oracle-cap", "--json"),
+    "bench": ("--seed", "--timeout"),
+}
+FLAG_ARGS = {
+    "--kmin": ("--kmin", "2"),
+    "--paper-mode": ("--paper-mode",),
+    "--seed": ("--seed", "1"),
+    "--oracle-cap": ("--oracle-cap", "10"),
+    "--json": ("--json",),
+    "--verbose": ("--verbose",),
+    "--timeout": ("--timeout", "5"),
+}
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, read in COMMAND_FLAGS.items()
+    for flag in FLAG_ARGS
+    if flag not in read
+]
+
+
+class TestFlags:
+    def test_unread_flag_count(self):
+        assert len(UNREAD_FLAGS) == 29
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_read_flags_parse(self, command):
+        argv = [command]
+        for flag in COMMAND_FLAGS[command]:
+            argv += ("--input", "x") if flag == "--input" else FLAG_ARGS[flag]
+        assert build_parser().parse_args(argv).command == command
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_is_an_argparse_error(self, capsys, command, flag):
+        argv = [command, *FLAG_ARGS[flag]]
+        if "--input" in COMMAND_FLAGS[command]:
+            argv += ["--input", "x"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCandidateCommand:
@@ -178,6 +227,19 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["cover", "fuzz"])
+    def test_kmin_paper_mode_conflict_exits_2_on_cover_and_fuzz(self, capsys, worked_file, command):
+        family = ["--input", worked_file] if command == "cover" else ["--random", "4:2"]
+        code, _, err = run(capsys, command, *family, "--kmin", "2", "--paper-mode")
+        assert code == 2
+        assert "disagree" in err
+
+    def test_decide_timeout_exits_2(self, capsys, worked_file):
+        code, out, err = run(capsys, "decide", "--input", worked_file, "--timeout", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_kmin_above_n_exits_2(self, capsys, worked_file):
         code, _, _ = run(capsys, "decide", "--input", worked_file, "--kmin", "9")
         assert code == 2
@@ -214,6 +276,23 @@ class TestFuzzCommand:
     def test_jobs_below_one_exits_2(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--random", "4:2", "--jobs", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--exhaustive", "5"],
+            ["--exhaustive", "0"],
+            ["--random", "0:3"],
+            ["--random", "4:-1"],
+            ["--cnf-random", "0:3"],
+            ["--cnf-random", "2:3"],
+            ["--random", "4:2", "--closedness-sample", "-1"],
+        ],
+    )
+    def test_family_it_cannot_generate_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, "fuzz", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_jobs_is_a_fuzz_flag_only(self, capsys, worked_file):
         with pytest.raises(SystemExit):

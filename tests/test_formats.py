@@ -58,6 +58,10 @@ class TestDimacs:
         with pytest.raises(InputFormatError):
             read_dimacs("p cnf 2 1\n3 0\n")
 
+    def test_read_rejects_tautology(self):
+        with pytest.raises(InputFormatError):
+            read_dimacs("p cnf 2 1\n1 -1 0\n")
+
     @given(formulas(6))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, f):

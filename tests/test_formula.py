@@ -7,6 +7,7 @@ from inv3sat import (
     Cnf,
     ModelSet,
     TautologyRejected,
+    candidate_formula,
     cnf_of,
     enumerate_models,
     evaluate,
@@ -15,6 +16,14 @@ from inv3sat import (
     restrict_clause,
     restrict_formula,
     subsumes,
+    three_limited_closure,
+)
+from inv3sat.closure import (
+    decode_mask,
+    encode_clause,
+    prefix_literal_masks,
+    restrict_mask_clauses,
+    saturate_masks,
 )
 from inv3sat.formula import (
     assignment_mask,
@@ -127,9 +136,32 @@ class TestCnf:
         with pytest.raises(ValueError):
             cnf_of(2, [(3,)])
 
-    def test_rejects_non_canonical_tuple(self):
-        with pytest.raises(ValueError):
-            Cnf(3, frozenset({(2, 1)}))
+    @pytest.mark.parametrize("raw", [(1, -1), (0, 2), (-4,)])
+    def test_cnf_of_rejects_tautology_zero_and_out_of_range(self, raw):
+        with pytest.raises((TautologyRejected, ValueError)):
+            cnf_of(3, [(1,), raw])
+
+    @given(
+        st.integers(min_value=3, max_value=6).flatmap(
+            lambda n: st.tuples(model_sets(n), assignments(n), st.integers(0, n))
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pipeline_builds_only_canonical_clauses(self, case):
+        # Cnf does not re-check its clauses, so every producer inside the
+        # pipeline must emit them canonical and within range
+        models, assignment, k = case
+        n = models.n
+        raw = candidate_formula(models)
+        closed = three_limited_closure(raw).closed_formula
+        restricted = restrict_formula(closed, prefix_bindings(assignment[:k]))
+        true_mask, false_mask = prefix_literal_masks(assignment[:k])
+        masks = restrict_mask_clauses(map(encode_clause, closed.clauses), true_mask, false_mask)
+        saturated = saturate_masks(masks, n)[0]
+        decoded = [decode_mask(m) for m in saturated]
+        for clause in (*raw.clauses, *closed.clauses, *restricted.clauses, *decoded):
+            assert clause == mk_clause(clause)
+            assert all(abs(lit) <= n for lit in clause)
 
     def test_ordered_is_deterministic(self):
         f = cnf_of(3, [(2,), (1, 2), (-1,), (1,)])
