@@ -8,16 +8,14 @@ the input set.  ``oracle_decide`` answers the same question by exhaustive
 enumeration and is the reference the pipeline is validated against.
 """
 
-from .closure import ClosureResult, contains_empty, is_closed_3limited, three_limited_closure
+from .closure import ClosureResult, is_closed_3limited, three_limited_closure
 from .formats import (
     InputFormatError,
     format_clause,
     format_formula,
-    read_dimacs,
     read_models,
     write_cover,
     write_dimacs,
-    write_models,
 )
 from .formula import (
     CapExceeded,
@@ -28,13 +26,10 @@ from .formula import (
     ModelSet,
     TautologyRejected,
     cnf_of,
-    enumerate_models,
     evaluate,
     mk_clause,
-    resolve,
     restrict_clause,
     restrict_formula,
-    subsumes,
 )
 from .inverse import (
     Answer,
@@ -43,7 +38,6 @@ from .inverse import (
     PrefixRecord,
     WitnessExtractionFailed,
     candidate_formula,
-    closed_candidate_formula,
     cover_stratum,
     decide,
     extract_witness,
@@ -71,12 +65,9 @@ __all__ = [
     "TautologyRejected",
     "WitnessExtractionFailed",
     "candidate_formula",
-    "closed_candidate_formula",
     "cnf_of",
-    "contains_empty",
     "cover_stratum",
     "decide",
-    "enumerate_models",
     "evaluate",
     "extract_witness",
     "format_clause",
@@ -86,16 +77,12 @@ __all__ = [
     "model_prefixes",
     "oracle_decide",
     "prefix_cover",
-    "read_dimacs",
     "read_models",
-    "resolve",
     "restrict_clause",
     "restrict_formula",
-    "subsumes",
     "three_limited_closure",
     "verify_witness",
     "write_cover",
     "write_dimacs",
-    "write_models",
     "__version__",
 ]

@@ -256,6 +256,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n_values = [int(v) for v in args.n_values.split(",") if v]
     except ValueError:
         raise InputFormatError(f"--n-values wants comma-separated integers, got {args.n_values!r}") from None
+    if any(n < 3 for n in n_values):
+        raise InputFormatError(f"--n-values wants every N >= 3, got {args.n_values!r}")
     rows = bench_scaling(
         n_values,
         trials=args.trials,
@@ -280,7 +282,9 @@ _FLAGS = {
     "--oracle-cap": dict(type=int, default=ENUMERATION_CAP, help="variable cap for enumeration"),
     "--json": dict(action="store_true", help="JSON output on stdout"),
     "--verbose": dict(action="store_true", help="diagnostics on stderr"),
-    "--timeout": dict(type=float, default=None, help="per-instance time budget in seconds"),
+    "--timeout": dict(type=float, default=None,
+                      help="deadline in seconds for the prefix walk, checked between probes; "
+                           "the candidate and closure build is not interrupted"),
 }
 
 

@@ -198,10 +198,6 @@ def three_limited_closure(formula: Cnf) -> ClosureResult:
     return ClosureResult(cnf, steps, deletions)
 
 
-def contains_empty(formula: Cnf) -> bool:
-    return () in formula.clauses
-
-
 def is_closed_3limited(formula: Cnf) -> bool:
     """Check both fixpoint conditions directly, without running the engine.
 

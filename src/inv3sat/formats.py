@@ -1,4 +1,4 @@
-"""Text formats: DIMACS CNF out/in, model-set files, cover listings.
+"""Text formats: DIMACS CNF out, model-set files in, cover listings.
 
 Emission is canonical and byte-stable: clause order comes from
 clause_sort_key, cover groups are sorted, and nothing here depends on set
@@ -7,7 +7,7 @@ iteration order.
 
 from __future__ import annotations
 
-from .formula import Clause, Cnf, ModelSet, TautologyRejected, cnf_of
+from .formula import Clause, Cnf, ModelSet
 from .inverse import PrefixCover
 
 
@@ -20,50 +20,6 @@ def write_dimacs(formula: Cnf) -> str:
     for clause in formula.ordered():
         lines.append(" ".join(str(lit) for lit in clause + (0,)))
     return "\n".join(lines) + "\n"
-
-
-def read_dimacs(text: str) -> Cnf:
-    """Parse DIMACS CNF; clauses may span lines, comments are skipped."""
-    num_vars = None
-    declared = None
-    tokens: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise InputFormatError(f"line {lineno}: bad problem line {line!r}")
-            num_vars, declared = int(parts[2]), int(parts[3])
-            continue
-        for tok in line.split():
-            try:
-                tokens.append(int(tok))
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: bad token {tok!r}") from None
-    if num_vars is None:
-        raise InputFormatError("missing problem line")
-    clauses = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            clauses.append(current)
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        raise InputFormatError("trailing clause without terminating 0")
-    if declared is not None and declared != len(clauses):
-        raise InputFormatError(f"problem line declares {declared} clauses, found {len(clauses)}")
-    try:
-        return cnf_of(num_vars, clauses)
-    except (TautologyRejected, ValueError) as exc:
-        raise InputFormatError(str(exc)) from None
-
-
-def write_models(models: ModelSet) -> str:
-    return "\n".join(models.models) + "\n"
 
 
 def read_models(text: str) -> ModelSet:

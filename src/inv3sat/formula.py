@@ -55,33 +55,6 @@ def clause_sort_key(clause: Clause) -> tuple[tuple[int, bool], ...]:
     return tuple((abs(lit), lit < 0) for lit in clause)
 
 
-def subsumes(c1: Clause, c2: Clause) -> bool:
-    """True iff every literal of c1 occurs in c2."""
-    return set(c1).issubset(c2)
-
-
-def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:
-    """Resolve two clauses on a pivot variable.
-
-    The pivot must occur positively in one operand and negatively in the
-    other; anything else is a caller bug and raises ValueError.  If the
-    resolvent would contain a complementary pair, TautologyRejected
-    propagates from mk_clause.
-    """
-    if pivot <= 0:
-        raise ValueError("pivot must be a positive variable index")
-    if pivot in c1 and -pivot in c2:
-        pass
-    elif pivot in c2 and -pivot in c1:
-        pass
-    else:
-        raise ValueError(
-            f"pivot {pivot} must occur positively in one operand and negatively in the other"
-        )
-    merged = (set(c1) | set(c2)) - {pivot, -pivot}
-    return mk_clause(merged)
-
-
 @dataclass(frozen=True)
 class Cnf:
     """A CNF formula: a duplicate-free set of clauses over num_vars variables.
@@ -256,14 +229,3 @@ def mask_to_models(mask: int, n: int) -> tuple[str, ...]:
         mask ^= low
     return tuple(out)
 
-
-def enumerate_models(formula: Cnf, cap: int = ENUMERATION_CAP) -> tuple[str, ...]:
-    """All satisfying assignments, in ascending order.
-
-    Exhausts all 2^n assignments, so n above the cap raises CapExceeded
-    rather than silently grinding.
-    """
-    n = formula.num_vars
-    if n > cap:
-        raise CapExceeded(f"enumeration over {n} variables exceeds cap {cap}")
-    return mask_to_models(satisfying_mask(formula), n)

@@ -50,6 +50,8 @@ RANDOM_SUBSET = "random-subset"
 RANDOM_3CNF_MODELS = "random-3cnf-models"
 
 MAX_DIVERGENCE_EXAMPLES = 100
+MAX_CNF_MODELS = 64
+BATTERY_CAP = 16
 
 
 class GeneratorExhausted(RuntimeError):
@@ -63,18 +65,17 @@ class InstanceSpec:
     kind "exhaustive" streams every nonempty subset of {0,1}^n (desk scale,
     n <= 4).  kind "random-subset" draws m distinct assignments; m=0 draws
     the size per instance.  kind "random-3cnf-models" draws a random
-    3-clause formula and takes its models, retrying past unsatisfiable or
-    oversized draws; these instances are exactly representable by
-    construction, so they exercise the no-extra-model path.
+    formula of 2n..4n 3-clauses and takes its models, retrying past
+    unsatisfiable draws and draws with more than MAX_CNF_MODELS models;
+    these instances are exactly representable by construction, so they
+    exercise the no-extra-model path.
     """
 
     kind: str
     n: int
     count: int = 1
     m: int = 0
-    clause_count: int = 0
     seed: int = 0
-    max_models: int = 64
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -102,16 +103,15 @@ def _gen_3cnf_models(spec: InstanceSpec, index: int) -> tuple[int, ModelSet]:
     rng = random.Random(inst_seed)
     n = spec.n
     for _ in range(200):
-        cc = spec.clause_count or rng.randint(2 * n, 4 * n)
         clauses = []
-        for _ in range(cc):
+        for _ in range(rng.randint(2 * n, 4 * n)):
             vs = rng.sample(range(1, n + 1), 3)
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         mask = satisfying_mask(cnf_of(n, clauses))
         if mask == 0:
             continue
         found = mask_to_models(mask, n)
-        if spec.max_models and len(found) > spec.max_models:
+        if len(found) > MAX_CNF_MODELS:
             continue
         return inst_seed, ModelSet(n, found)
     raise GeneratorExhausted(f"no satisfiable draw within budget for {spec}")
@@ -306,7 +306,7 @@ class BatteryResult:
     failures: tuple[str, ...]
 
 
-def invariant_battery(models: ModelSet, cap: int = 16) -> BatteryResult:
+def invariant_battery(models: ModelSet) -> BatteryResult:
     """Re-derive the pipeline's supporting invariants from first principles.
 
     Everything here is independent of the closure engine's own claims:
@@ -316,8 +316,8 @@ def invariant_battery(models: ModelSet, cap: int = 16) -> BatteryResult:
     """
     failures: list[str] = []
     n = models.n
-    if n > cap:
-        return BatteryResult(False, (f"battery-skipped: n={n} exceeds enumeration cap {cap}",))
+    if n > BATTERY_CAP:
+        return BatteryResult(False, (f"battery-skipped: n={n} exceeds enumeration cap {BATTERY_CAP}",))
 
     raw = candidate_formula(models)
     member_mask = assignment_mask(models.models)

@@ -38,9 +38,6 @@ from .formula import (
     restrict_clause,
 )
 
-_PATTERNS = ("000", "001", "010", "011", "100", "101", "110", "111")
-
-
 class WitnessExtractionFailed(RuntimeError):
     """A prefix closure had no empty clause, yet no witness could be built.
 
@@ -60,39 +57,28 @@ def candidate_formula(models: ModelSet) -> Cnf:
 
     For each variable triple there are eight candidate clauses, one per
     sign pattern; the clause survives exactly when no model projects onto
-    the unique assignment that falsifies it.
+    the unique assignment that falsifies it.  `col[v][b]` has bit r set
+    when model r gives variable v+1 the value b, so that test is an AND of
+    three columns.
     """
     n = models.n
     if n < 3:
         raise InputTooSmall(f"need at least 3 variables, got {n}")
+    full = (1 << len(models)) - 1
+    col = []
+    for v in range(n):
+        ones = int("".join(m[v] for m in models.models), 2)
+        col.append((full ^ ones, ones))
     clauses = []
-    triples = []
     for i in range(1, n - 1):
         for j in range(i + 1, n):
+            pairs = [(a, b, col[i - 1][a] & col[j - 1][b]) for a in (0, 1) for b in (0, 1)]
             for k in range(j + 1, n + 1):
-                triples.append((i, j, k))
-    for i, j, k in triples:
-        seen = set()
-        for m in models.models:
-            seen.add(m[i - 1] + m[j - 1] + m[k - 1])
-        if len(seen) == 8:
-            continue
-        for pattern in _PATTERNS:
-            if pattern in seen:
-                continue
-            clauses.append(
-                (
-                    i if pattern[0] == "0" else -i,
-                    j if pattern[1] == "0" else -j,
-                    k if pattern[2] == "0" else -k,
-                )
-            )
+                for a, b, both in pairs:
+                    for c in (0, 1):
+                        if both & col[k - 1][c] == 0:
+                            clauses.append((-i if a else i, -j if b else j, -k if c else k))
     return Cnf(n, frozenset(clauses))
-
-
-def closed_candidate_formula(models: ModelSet) -> Cnf:
-    """The candidate formula after bounded-resolution closure."""
-    return three_limited_closure(candidate_formula(models)).closed_formula
 
 
 def model_prefixes(models: ModelSet, k: int) -> frozenset[str]:

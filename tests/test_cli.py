@@ -100,13 +100,14 @@ class TestCandidateCommand:
         assert [1, 2, 3] in payload["clauses"]
 
     def test_output_reparses_to_the_in_memory_formula(self, capsys, worked_file):
-        from inv3sat import ModelSet, candidate_formula, read_dimacs
-
-        from conftest import WORKED_MODELS
+        from inv3sat import ModelSet, candidate_formula
 
         code, out, _ = run(capsys, "candidate", "--input", worked_file)
         assert code == 0
-        assert read_dimacs(out) == candidate_formula(ModelSet(5, WORKED_MODELS))
+        header, *lines = out.splitlines()
+        formula = candidate_formula(ModelSet(5, WORKED_MODELS))
+        assert header == f"p cnf 5 {len(formula.clauses)}"
+        assert {tuple(int(t) for t in line.split()[:-1]) for line in lines} == formula.clauses
 
 
 class TestClosureCommand:
@@ -308,3 +309,10 @@ class TestBenchCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,")
         assert lines[1].startswith("5,")
+
+    @pytest.mark.parametrize("n_values", ["0", "-3", "2"])
+    def test_n_below_3_exits_2(self, capsys, n_values):
+        code, out, err = run(capsys, "bench", f"--n-values={n_values}", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")

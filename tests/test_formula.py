@@ -3,19 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inv3sat import (
-    CapExceeded,
     Cnf,
     ModelSet,
     TautologyRejected,
     candidate_formula,
     cnf_of,
-    enumerate_models,
     evaluate,
     mk_clause,
-    resolve,
     restrict_clause,
     restrict_formula,
-    subsumes,
     three_limited_closure,
 )
 from inv3sat.closure import (
@@ -68,63 +64,6 @@ def test_clause_sort_key_orders_positive_before_negative():
     cs = [(-1,), (1,), (1, 2), (-1, 2), (2,)]
     cs.sort(key=clause_sort_key)
     assert cs == [(1,), (1, 2), (-1,), (-1, 2), (2,)]
-
-
-class TestSubsumes:
-    def test_subset_subsumes(self):
-        assert subsumes((1,), (1, -2))
-        assert subsumes((), (3,))
-        assert not subsumes((1, -2), (1,))
-        assert not subsumes((1,), (-1, 2))
-
-    @given(clauses(5), clauses(5))
-    def test_matches_set_inclusion(self, c1, c2):
-        assert subsumes(c1, c2) == set(c1).issubset(set(c2))
-
-    @given(clauses(5), clauses(5))
-    def test_subsuming_clause_is_stronger(self, c1, c2):
-        # Every assignment satisfying the shorter clause satisfies the longer.
-        if subsumes(c1, c2):
-            m1 = satisfying_mask(Cnf(5, frozenset([c1])))
-            m2 = satisfying_mask(Cnf(5, frozenset([c2])))
-            assert m1 & ~m2 == 0
-
-
-class TestResolve:
-    def test_basic(self):
-        assert resolve((1, 2), (-1, 3), 1) == (2, 3)
-
-    def test_shared_literal_merges(self):
-        assert resolve((1, 2), (-1, 2), 1) == (2,)
-
-    def test_unit_conflict_gives_empty(self):
-        assert resolve((1,), (-1,), 1) == ()
-
-    def test_rejects_missing_pivot(self):
-        with pytest.raises(ValueError):
-            resolve((1, 2), (-1, 3), 2)
-
-    def test_rejects_same_sign_pivot(self):
-        with pytest.raises(ValueError):
-            resolve((1, 2), (1, 3), 1)
-
-    def test_tautological_resolvent_rejected(self):
-        with pytest.raises(TautologyRejected):
-            resolve((1, 2), (-1, -2), 1)
-
-    @given(clauses(5, min_size=1), clauses(5, min_size=1))
-    def test_resolvent_is_implied(self, c1, c2):
-        pivots = [abs(l) for l in c1 if -l in c2]
-        if not pivots:
-            return
-        try:
-            r = resolve(c1, c2, pivots[0])
-        except TautologyRejected:
-            return
-        sat1 = satisfying_mask(Cnf(5, frozenset([c1])))
-        sat2 = satisfying_mask(Cnf(5, frozenset([c2])))
-        satr = satisfying_mask(Cnf(5, frozenset([r])))
-        assert (sat1 & sat2) & ~satr == 0
 
 
 class TestCnf:
@@ -281,17 +220,3 @@ class TestTruthTables:
         for a in range(2**4):
             assert bool(mask >> a & 1) == evaluate(f, format(a, "04b"))
 
-
-class TestEnumerateModels:
-    def test_golden(self):
-        f = cnf_of(2, [(1,), (-2,)])
-        assert enumerate_models(f) == ("10",)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            enumerate_models(Cnf(30, frozenset()), cap=24)
-
-    @given(formulas(4))
-    def test_every_enumerated_model_satisfies(self, f):
-        for m in enumerate_models(f):
-            assert evaluate(f, m)

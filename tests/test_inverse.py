@@ -9,7 +9,6 @@ from inv3sat import (
     ModelSet,
     WitnessExtractionFailed,
     candidate_formula,
-    closed_candidate_formula,
     cnf_of,
     cover_stratum,
     decide,
@@ -62,26 +61,26 @@ class TestCandidateFormula:
             for m in worked_models.models:
                 assert satisfies_clause(c, m)
 
-    @given(model_sets(4))
+    @given(st.integers(min_value=3, max_value=7).flatmap(model_sets))
     @settings(max_examples=200, deadline=None)
     def test_maximality(self, ms):
-        # Any 3-clause over distinct variables absent from the candidate
-        # is falsified by at least one input model.
+        # A 3-clause over distinct variables is in the candidate exactly
+        # when every input model satisfies it, and the candidate holds
+        # nothing else.
         f = candidate_formula(ms)
-        for vars3 in itertools.combinations(range(1, 5), 3):
+        want = set()
+        for vars3 in itertools.combinations(range(1, ms.n + 1), 3):
             for signs in itertools.product((1, -1), repeat=3):
                 clause = tuple(v * s for v, s in zip(vars3, signs))
-                if clause in f.clauses:
-                    continue
-                assert any(
-                    not satisfies_clause(clause, m) for m in ms.models
-                )
+                if all(satisfies_clause(clause, m) for m in ms.models):
+                    want.add(clause)
+        assert f.clauses == want
 
     def test_closed_candidate_golden(self, worked_models):
-        assert closed_candidate_formula(worked_models) == cnf_of(5, WORKED_CLOSURE)
+        assert analyze(worked_models).closed == cnf_of(5, WORKED_CLOSURE)
 
     def test_single_model_closure_is_units(self):
-        closed = closed_candidate_formula(ModelSet(3, ("111",)))
+        closed = analyze(ModelSet(3, ("111",))).closed
         assert closed.clauses == frozenset({(1,), (2,), (3,)})
 
 
@@ -266,7 +265,7 @@ class TestExtractWitness:
     @given(model_sets(5), st.integers(min_value=0, max_value=31))
     @settings(max_examples=200, deadline=None)
     def test_extracted_witness_satisfies_closure(self, ms, a):
-        closed = closed_candidate_formula(ms)
+        closed = analyze(ms).closed
         prefix = format(a, "05b")[: ms.n // 2]
         try:
             w = extract_witness(closed, prefix)
