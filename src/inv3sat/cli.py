@@ -258,6 +258,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputFormatError(f"--n-values wants comma-separated integers, got {args.n_values!r}") from None
     if any(n < 3 for n in n_values):
         raise InputFormatError(f"--n-values wants every N >= 3, got {args.n_values!r}")
+    if args.trials < 1:
+        raise InputFormatError(f"--trials must be at least 1, got {args.trials}")
+    if args.models_factor < 1:
+        raise InputFormatError(f"--models-factor must be at least 1, got {args.models_factor}")
+    for n in n_values:
+        if args.models_factor * n > 1 << n:
+            raise InputFormatError(
+                f"--models-factor {args.models_factor} wants more models than the 2^{n} assignments at N = {n}"
+            )
     rows = bench_scaling(
         n_values,
         trials=args.trials,

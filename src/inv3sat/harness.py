@@ -312,7 +312,8 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
     Everything here is independent of the closure engine's own claims:
     candidate maximality by direct double loop, closure checks against
     whole-truth-table enumeration, restriction semantics pointwise, cover
-    exactness by membership scan.
+    exactness by membership scan.  The closure that step 1 builds without
+    resolution is checked against the engine's closure of the candidate.
     """
     failures: list[str] = []
     n = models.n
@@ -344,6 +345,8 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
 
     result = three_limited_closure(raw)
     closed = result.closed_formula
+    if analyze(models).closed != closed:
+        failures.append("closure-direct")
 
     from .closure import is_closed_3limited
 

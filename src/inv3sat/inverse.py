@@ -10,6 +10,11 @@ resolution, walking a prefix cover of the complement of phi, and testing
 each restricted closure for the empty clause.  A restriction whose closure
 stays empty-clause-free yields a witness assignment, which is verified
 against the raw candidate formula before being reported.
+
+The candidate's closure is exactly the set of minimal clauses of width
+<= 3 that every model satisfies, so `analyze` reads it off the models in
+the pass that builds the candidate; resolution runs only on the prefix
+restrictions, and `three_limited_closure` stays step 1's test reference.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .closure import (
     prefix_literal_masks,
     restrict_mask_clauses,
     saturate_masks,
-    three_limited_closure,
 )
 from .formula import (
     Clause,
@@ -52,14 +56,17 @@ class Answer(Enum):
     NO_EXTRA_MODEL = "no-extra-model"
 
 
-def candidate_formula(models: ModelSet) -> Cnf:
-    """Every 3-variable clause satisfied by all models.
+def _candidate_and_closure(models: ModelSet) -> tuple[Cnf, Cnf]:
+    """The candidate formula and its 3-limited closure, in one pass.
 
-    For each variable triple there are eight candidate clauses, one per
-    sign pattern; the clause survives exactly when no model projects onto
-    the unique assignment that falsifies it.  `col[v][b]` has bit r set
-    when model r gives variable v+1 the value b, so that test is an AND of
-    three columns.
+    `col[v][b]` has bit r set when model r gives variable v+1 the value b,
+    so whether some model shows a sign pattern on up to three variables is
+    an AND of their columns.  A 3-clause is in the candidate when no model
+    shows the pattern that falsifies it.  A clause of width <= 3 is in the
+    closure when no model shows its falsifying pattern and every proper
+    sub-pattern shows up in some model: a unit when its column is 0, a
+    pair when its two columns AND to 0 and neither is 0, a candidate
+    triple when its three pairwise ANDs are all nonzero.
     """
     n = models.n
     if n < 3:
@@ -69,16 +76,37 @@ def candidate_formula(models: ModelSet) -> Cnf:
     for v in range(n):
         ones = int("".join(m[v] for m in models.models), 2)
         col.append((full ^ ones, ones))
-    clauses = []
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            pairs = [(a, b, col[i - 1][a] & col[j - 1][b]) for a in (0, 1) for b in (0, 1)]
+    raw = []
+    closed = [(-v if b else v,) for v in range(1, n + 1) for b in (0, 1) if not col[v - 1][b]]
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            pairs = []
+            for a, ci in enumerate(col[i - 1]):
+                for b, cj in enumerate(col[j - 1]):
+                    both = ci & cj
+                    lits = (-i if a else i, -j if b else j)
+                    pairs.append((ci, cj, lits, both))
+                    if not both and ci and cj:
+                        closed.append(lits)
             for k in range(j + 1, n + 1):
-                for a, b, both in pairs:
-                    for c in (0, 1):
-                        if both & col[k - 1][c] == 0:
-                            clauses.append((-i if a else i, -j if b else j, -k if c else k))
-    return Cnf(n, frozenset(clauses))
+                for c, ck in enumerate(col[k - 1]):
+                    for ci, cj, lits, both in pairs:
+                        if not both & ck:
+                            clause = (*lits, -k if c else k)
+                            raw.append(clause)
+                            if both and ci & ck and cj & ck:
+                                closed.append(clause)
+    return Cnf(n, frozenset(raw)), Cnf(n, frozenset(closed))
+
+
+def candidate_formula(models: ModelSet) -> Cnf:
+    """Every 3-variable clause satisfied by all models.
+
+    For each variable triple there are eight candidate clauses, one per
+    sign pattern; the clause survives exactly when no model projects onto
+    the unique assignment that falsifies it.
+    """
+    return _candidate_and_closure(models)[0]
 
 
 def model_prefixes(models: ModelSet, k: int) -> frozenset[str]:
@@ -258,10 +286,15 @@ class Analysis:
 
 
 def analyze(models: ModelSet) -> Analysis:
-    """Build the candidate formula and its bounded-resolution closure."""
+    """Build the candidate formula and its closure in one bitset pass.
+
+    The closure is computed directly as the subsumption-minimal clauses of
+    width <= 3 that every model satisfies, which is exactly what bounded
+    resolution with subsumption deletion reaches from the candidate (the
+    k-CNF envelope of Dechter & Pearl, 1992); no resolution runs here.
+    """
     start = time.perf_counter()
-    raw = candidate_formula(models)
-    closed = three_limited_closure(raw).closed_formula
+    raw, closed = _candidate_and_closure(models)
     masks = tuple(encode_clause(c) for c in closed.clauses)
     return Analysis(models, raw, closed, masks, time.perf_counter() - start)
 

@@ -4,7 +4,8 @@ Each test prints a single PASS line on success (visible with -s, and in
 the -v listing as the test outcome), covering in order: the three golden
 walkthrough results, the closure and restriction batteries, cover
 exactness, witness soundness, the differential headline campaign, the
-per-prefix satisfiability cross-check, and the scaling benchmark.
+per-prefix satisfiability cross-check, the scaling benchmark, and the
+direct closure against bounded resolution over every n = 4 model set.
 """
 
 import random
@@ -32,7 +33,9 @@ from inv3sat.harness import (
     bench_csv,
     bench_scaling,
     differential_run,
+    generate,
 )
+from inv3sat.inverse import analyze
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -312,3 +315,18 @@ def test_c10_scaling_bench():
         assert row.trials == 3
     print("PASS scaling bench (n up to 30, no timeouts)")
     print(csv)
+
+
+def test_c11_direct_closure_exhaustive_n4():
+    started = time.perf_counter()
+    checked = 0
+    for ms in generate(InstanceSpec(EXHAUSTIVE, 4)):
+        expect = three_limited_closure(candidate_formula(ms)).closed_formula
+        assert analyze(ms).closed == expect, f"{ms.models}: direct closure differs"
+        checked += 1
+    assert checked == 65535
+    elapsed = time.perf_counter() - started
+    print(
+        f"PASS direct closure equals resolution closure "
+        f"({checked} model sets, n=4, {elapsed:.1f}s)"
+    )

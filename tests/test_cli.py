@@ -310,6 +310,28 @@ class TestBenchCommand:
         assert lines[0].startswith("n,")
         assert lines[1].startswith("5,")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--trials", "0"),
+            ("--trials", "-2"),
+            ("--models-factor", "0"),
+            ("--models-factor", "-1"),
+            ("--n-values", "3", "--models-factor", "3"),
+        ],
+        ids=["trials-0", "trials-negative", "factor-0", "factor-negative", "factor-beyond-cube"],
+    )
+    def test_unusable_sizes_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "bench", "--n-values", "5", "--trials", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_models_filling_the_cube_are_accepted(self, capsys):
+        code, out, _ = run(capsys, "bench", "--n-values", "4", "--models-factor", "4", "--trials", "1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("4,16,1,")
+
     @pytest.mark.parametrize("n_values", ["0", "-3", "2"])
     def test_n_below_3_exits_2(self, capsys, n_values):
         code, out, err = run(capsys, "bench", f"--n-values={n_values}", "--trials", "1")

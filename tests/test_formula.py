@@ -29,6 +29,7 @@ from inv3sat.formula import (
     satisfies_clause,
     satisfying_mask,
 )
+from inv3sat.inverse import analyze
 
 from strategies import assignments, clauses, formulas, model_sets
 
@@ -93,12 +94,13 @@ class TestCnf:
         n = models.n
         raw = candidate_formula(models)
         closed = three_limited_closure(raw).closed_formula
+        direct = analyze(models).closed
         restricted = restrict_formula(closed, prefix_bindings(assignment[:k]))
         true_mask, false_mask = prefix_literal_masks(assignment[:k])
         masks = restrict_mask_clauses(map(encode_clause, closed.clauses), true_mask, false_mask)
         saturated = saturate_masks(masks, n)[0]
         decoded = [decode_mask(m) for m in saturated]
-        for clause in (*raw.clauses, *closed.clauses, *restricted.clauses, *decoded):
+        for clause in (*raw.clauses, *closed.clauses, *direct.clauses, *restricted.clauses, *decoded):
             assert clause == mk_clause(clause)
             assert all(abs(lit) <= n for lit in clause)
 

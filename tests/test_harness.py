@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from inv3sat import Answer, ModelSet, harness, oracle_decide
+from inv3sat import Answer, Cnf, ModelSet, harness, oracle_decide
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -166,6 +167,20 @@ class TestInvariantBattery:
         for ms in generate(InstanceSpec(RANDOM_SUBSET, 5, count=10, seed=3)):
             result = invariant_battery(ms)
             assert result.passed, result.failures
+
+    def test_direct_closure_is_checked_against_resolution(self, monkeypatch):
+        # A step-1 closure that loses a clause must fail the battery even
+        # though every other invariant is built from the engine's closure.
+        real = harness.analyze
+
+        def lossy(models):
+            analysis = real(models)
+            dropped = frozenset(sorted(analysis.closed.clauses)[1:])
+            return dataclasses.replace(analysis, closed=Cnf(models.n, dropped))
+
+        monkeypatch.setattr(harness, "analyze", lossy)
+        result = invariant_battery(ModelSet(5, WORKED_MODELS))
+        assert result.failures == ("closure-direct",)
 
 
 class TestDifferentialRun:

@@ -16,6 +16,7 @@ from inv3sat import (
     extract_witness,
     model_prefixes,
     prefix_cover,
+    three_limited_closure,
 )
 from inv3sat.closure import prefix_literal_masks, restrict_mask_clauses
 from inv3sat.formula import InputTooSmall, satisfies_clause
@@ -82,6 +83,51 @@ class TestCandidateFormula:
     def test_single_model_closure_is_units(self):
         closed = analyze(ModelSet(3, ("111",))).closed
         assert closed.clauses == frozenset({(1,), (2,), (3,)})
+
+
+def _minimal_satisfied_clauses(ms):
+    # Read off phi directly: a clause of width <= 3 that every model
+    # satisfies while no proper sub-clause (the empty one included) does.
+    def satisfied(clause):
+        return all(satisfies_clause(clause, m) for m in ms.models)
+
+    out = set()
+    for width in (1, 2, 3):
+        for vs in itertools.combinations(range(1, ms.n + 1), width):
+            for signs in itertools.product((1, -1), repeat=width):
+                clause = tuple(v * s for v, s in zip(vs, signs))
+                if satisfied(clause) and not any(
+                    satisfied(sub)
+                    for size in range(width)
+                    for sub in itertools.combinations(clause, size)
+                ):
+                    out.add(clause)
+    return out
+
+
+class TestClosedCandidate:
+    # analyze builds the closure straight from the model bitsets; bounded
+    # resolution over the candidate is the independent reference.
+
+    def test_exhaustive_n3_matches_resolution(self):
+        for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
+            expect = three_limited_closure(candidate_formula(ms)).closed_formula
+            assert analyze(ms).closed == expect, ms.models
+
+    def test_random_n4_to_n9_matches_resolution(self):
+        for n in range(4, 10):
+            for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=167, seed=20261019)):
+                expect = three_limited_closure(candidate_formula(ms)).closed_formula
+                assert analyze(ms).closed == expect, ms.models
+
+    def test_exhaustive_n3_matches_definition(self):
+        for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
+            assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms), ms.models
+
+    @given(st.integers(min_value=3, max_value=7).flatmap(model_sets))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_definition(self, ms):
+        assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms)
 
 
 class TestPrefixSets:
