@@ -33,6 +33,7 @@ from .formula import (
 )
 from .inverse import (
     Answer,
+    ClosureTestFailed,
     DecisionReport,
     PrefixCover,
     PrefixRecord,
@@ -53,6 +54,7 @@ __all__ = [
     "CapExceeded",
     "Clause",
     "ClosureResult",
+    "ClosureTestFailed",
     "Cnf",
     "DecisionReport",
     "ENUMERATION_CAP",

@@ -2,14 +2,19 @@
 
 Exit codes: 0 means the run completed (the answer is in the output), 2
 means the input or configuration was unusable or `decide --timeout`
-expired, 3 means the pipeline caught itself in an internal inconsistency.
-Stdout is deterministic for a given input and configuration; timings and
-progress go to stderr under --verbose.
+expired, 3 means `decide` could not report a verified answer: either the
+paper's closure test failed (a prefix's width-3 closure held no empty
+clause, yet the witness search proved the restriction unsatisfiable) or
+the pipeline caught itself in an internal inconsistency (a witness failed
+verification).  stderr says which.  Stdout is deterministic for a given
+input and configuration; timings and progress go to stderr under
+--verbose.  The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -37,6 +42,7 @@ from .harness import (
 )
 from .inverse import (
     Answer,
+    ClosureTestFailed,
     WitnessExtractionFailed,
     candidate_formula,
     decide,
@@ -302,6 +308,7 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument(name, **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inv3sat",
@@ -367,6 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ClosureTestFailed as exc:
+        print(f"paper method failed: the closure test missed an unsatisfiable restriction: {exc}",
+              file=sys.stderr)
+        return 3
     except WitnessExtractionFailed as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

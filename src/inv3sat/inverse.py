@@ -8,13 +8,17 @@ therefore reduces to: does that candidate formula admit a model outside
 phi?  The pipeline answers it by closing the candidate under bounded
 resolution, walking a prefix cover of the complement of phi, and testing
 each restricted closure for the empty clause.  A restriction whose closure
-stays empty-clause-free yields a witness assignment, which is verified
-against the raw candidate formula before being reported.
+stays empty-clause-free yields a witness assignment, which is checked
+against the candidate's definition (each of its 3-projections occurs in
+phi) before being reported.
 
 The candidate's closure is exactly the set of minimal clauses of width
-<= 3 that every model satisfies, so `analyze` reads it off the models in
-the pass that builds the candidate; resolution runs only on the prefix
-restrictions, and `three_limited_closure` stays step 1's test reference.
+<= 3 that every model satisfies, so `analyze` reads it off per-variable
+model bitsets without building the raw candidate; `candidate_formula`
+builds the raw candidate from the same bitsets for the oracle and the CLI.
+A prefix that falsifies a closed clause outright is refuted by an index
+over the closed clauses; resolution runs only on the other restrictions,
+and `three_limited_closure` stays step 1's test reference.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .formula import (
     InputTooSmall,
     ModelSet,
     clause_sort_key,
-    evaluate,
     prefix_bindings,
     restrict_clause,
 )
@@ -51,52 +54,63 @@ class WitnessExtractionFailed(RuntimeError):
     """
 
 
+class ClosureTestFailed(WitnessExtractionFailed):
+    """The witness search was exhausted: the restriction is unsatisfiable.
+
+    Raised by `extract_witness`.  Inside `decide` it means the paper's test
+    failed: the prefix's width-3 closure holds no empty clause, yet no
+    assignment extends the prefix to a model of the closed formula.
+    """
+
+
 class Answer(Enum):
     EXTRA_MODEL_EXISTS = "extra-model-exists"
     NO_EXTRA_MODEL = "no-extra-model"
 
 
-def _candidate_and_closure(models: ModelSet) -> tuple[Cnf, Cnf]:
-    """The candidate formula and its 3-limited closure, in one pass.
-
-    `col[v][b]` has bit r set when model r gives variable v+1 the value b,
-    so whether some model shows a sign pattern on up to three variables is
-    an AND of their columns.  A 3-clause is in the candidate when no model
-    shows the pattern that falsifies it.  A clause of width <= 3 is in the
-    closure when no model shows its falsifying pattern and every proper
-    sub-pattern shows up in some model: a unit when its column is 0, a
-    pair when its two columns AND to 0 and neither is 0, a candidate
-    triple when its three pairwise ANDs are all nonzero.
-    """
-    n = models.n
-    if n < 3:
-        raise InputTooSmall(f"need at least 3 variables, got {n}")
+def _columns(models: ModelSet) -> list[tuple[int, int]]:
+    """Per-variable model bitsets: `col[v][b]` has bit r set when model r
+    gives variable v+1 the value b, so whether some model shows a sign
+    pattern on up to three variables is an AND of their columns."""
+    if models.n < 3:
+        raise InputTooSmall(f"need at least 3 variables, got {models.n}")
     full = (1 << len(models)) - 1
     col = []
-    for v in range(n):
+    for v in range(models.n):
         ones = int("".join(m[v] for m in models.models), 2)
         col.append((full ^ ones, ones))
-    raw = []
+    return col
+
+
+def _closure(col: list[tuple[int, int]]) -> Cnf:
+    """The 3-limited closure of the candidate, read off the columns.
+
+    A clause of width <= 3 is in the closure when no model shows its
+    falsifying pattern and every proper sub-pattern shows up in some model:
+    a unit when its column is 0, a pair when its two columns AND to 0 and
+    neither is 0, a triple when its three columns AND to 0 and its three
+    pairwise ANDs are all nonzero.  So a pair pattern no model shows adds
+    its pair and nothing else.
+    """
+    n = len(col)
     closed = [(-v if b else v,) for v in range(1, n + 1) for b in (0, 1) if not col[v - 1][b]]
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            pairs = []
+            shown = []
             for a, ci in enumerate(col[i - 1]):
                 for b, cj in enumerate(col[j - 1]):
                     both = ci & cj
                     lits = (-i if a else i, -j if b else j)
-                    pairs.append((ci, cj, lits, both))
-                    if not both and ci and cj:
+                    if both:
+                        shown.append((ci, cj, lits, both))
+                    elif ci and cj:
                         closed.append(lits)
             for k in range(j + 1, n + 1):
                 for c, ck in enumerate(col[k - 1]):
-                    for ci, cj, lits, both in pairs:
-                        if not both & ck:
-                            clause = (*lits, -k if c else k)
-                            raw.append(clause)
-                            if both and ci & ck and cj & ck:
-                                closed.append(clause)
-    return Cnf(n, frozenset(raw)), Cnf(n, frozenset(closed))
+                    for ci, cj, lits, both in shown:
+                        if not both & ck and ci & ck and cj & ck:
+                            closed.append((*lits, -k if c else k))
+    return Cnf(n, frozenset(closed))
 
 
 def candidate_formula(models: ModelSet) -> Cnf:
@@ -106,7 +120,35 @@ def candidate_formula(models: ModelSet) -> Cnf:
     sign pattern; the clause survives exactly when no model projects onto
     the unique assignment that falsifies it.
     """
-    return _candidate_and_closure(models)[0]
+    col = _columns(models)
+    n = len(col)
+    raw = []
+    for i in range(1, n - 1):
+        for j in range(i + 1, n):
+            pairs = [
+                ((-i if a else i, -j if b else j), ci & cj)
+                for a, ci in enumerate(col[i - 1])
+                for b, cj in enumerate(col[j - 1])
+            ]
+            for k in range(j + 1, n + 1):
+                for c, ck in enumerate(col[k - 1]):
+                    for lits, both in pairs:
+                        if not both & ck:
+                            raw.append((*lits, -k if c else k))
+    return Cnf(n, frozenset(raw))
+
+
+def _projections_occur(col: list[tuple[int, int]], assignment: str) -> bool:
+    """Whether every 3-projection of the assignment occurs in some model,
+    which is exactly when it satisfies the candidate formula."""
+    picked = [c[bit == "1"] for c, bit in zip(col, assignment)]
+    for j in range(1, len(picked) - 1):
+        later = picked[j + 1 :]
+        for i in range(j):
+            both = picked[i] & picked[j]
+            if not all(both & ck for ck in later):
+                return False
+    return True
 
 
 def model_prefixes(models: ModelSet, k: int) -> frozenset[str]:
@@ -248,7 +290,7 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
 
     The suffix search assigns remaining variables in ascending order trying
     0 before 1, so ties break the same way every run.  Exhausting the
-    search raises WitnessExtractionFailed.
+    search raises ClosureTestFailed.
     """
     n = formula.num_vars
     k = len(prefix)
@@ -261,55 +303,80 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
     fixed: dict[int, int] = {}
     solution = _search(restricted, fixed)
     if solution is None:
-        raise WitnessExtractionFailed(
+        raise ClosureTestFailed(
             f"prefix {prefix}: restricted closure had no empty clause but no extension satisfies it"
         )
     suffix = "".join(str(solution.get(v, 0)) for v in range(k + 1, n + 1))
     return prefix + suffix
 
 
+# what saturate_masks returns on a clause set that holds the empty clause
+_REFUTED = (frozenset({0}), 0, 0)
+
+
 @dataclass(frozen=True)
 class Analysis:
-    """One model set's candidate formula, its closure and the closure's
-    clause masks, built once and shared by every walk over its cover.
+    """One model set's columns, closed candidate and closed clause masks,
+    built once and shared by every walk over its cover.
 
-    `probes` memoises `probe` per prefix: the saturated clause set and its
-    counters, never the restricted set that fed them.
+    `by_top` groups the masks by their highest literal slot (see
+    `closure.encode_clause`).  `probes` memoises `probe` per prefix: the
+    saturated clause set and its counters, never the restricted set that
+    fed them.
     """
 
     models: ModelSet
-    raw: Cnf
+    columns: list[tuple[int, int]] = field(compare=False)
     closed: Cnf
     masks: tuple[int, ...]
+    by_top: list[list[int]] = field(compare=False)
     build_s: float
     probes: dict[str, tuple[frozenset[int], int, int]] = field(default_factory=dict, compare=False)
 
 
 def analyze(models: ModelSet) -> Analysis:
-    """Build the candidate formula and its closure in one bitset pass.
+    """Build the closed candidate formula in one bitset pass.
 
     The closure is computed directly as the subsumption-minimal clauses of
     width <= 3 that every model satisfies, which is exactly what bounded
     resolution with subsumption deletion reaches from the candidate (the
-    k-CNF envelope of Dechter & Pearl, 1992); no resolution runs here.
+    k-CNF envelope of Dechter & Pearl, 1992); no resolution runs here, and
+    the raw candidate is never built.
     """
     start = time.perf_counter()
-    raw, closed = _candidate_and_closure(models)
+    columns = _columns(models)
+    closed = _closure(columns)
     masks = tuple(encode_clause(c) for c in closed.clauses)
-    return Analysis(models, raw, closed, masks, time.perf_counter() - start)
+    by_top: list[list[int]] = [[] for _ in range(2 * models.n)]
+    for m in masks:
+        by_top[m.bit_length() - 1].append(m)
+    return Analysis(models, columns, closed, masks, by_top, time.perf_counter() - start)
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     """Restrict the closed formula by a prefix and saturate, once per prefix.
 
     Returns the saturated clause masks (0 is the empty clause), the
-    resolvents added and the clauses deleted by subsumption.
+    resolvents added and the clauses deleted by subsumption.  A restriction
+    holds the empty clause exactly when some closed clause has every
+    literal false under the prefix; such a clause's highest literal is the
+    false one at some prefix position, so only those groups of `by_top`
+    are scanned, and the prefix is refuted without restricting or
+    saturating anything.
     """
     result = analysis.probes.get(prefix)
     if result is None:
         true_mask, false_mask = prefix_literal_masks(prefix)
-        restricted = restrict_mask_clauses(analysis.masks, true_mask, false_mask)
-        result = analysis.probes[prefix] = saturate_masks(restricted, analysis.models.n)
+        if any(
+            m & false_mask == m
+            for i, bit in enumerate(prefix)
+            for m in analysis.by_top[2 * i + (bit == "1")]
+        ):
+            result = _REFUTED
+        else:
+            restricted = restrict_mask_clauses(analysis.masks, true_mask, false_mask)
+            result = saturate_masks(restricted, analysis.models.n)
+        analysis.probes[prefix] = result
     return result
 
 
@@ -323,8 +390,12 @@ def decide(
     Walks the prefix cover in canonical order (shortest stratum first,
     construction order within a stratum) and stops at the first prefix
     whose restricted closure lacks the empty clause; the witness built
-    there is verified against the raw candidate formula and the model set
-    before it is reported.  `models` may be an `analyze` result, whose
+    there is checked against the definition of the candidate formula
+    (every 3-projection of the witness occurs in some model, see
+    `_projections_occur`) and against the model set before it is
+    reported, so the raw candidate is never built.  An exhausted witness
+    search raises ClosureTestFailed; a witness that fails the check raises
+    WitnessExtractionFailed.  `models` may be an `analyze` result, whose
     probes the walk then shares with other walks over the same set; step
     1's timing is always the analysis' build time.  `deadline` is a
     wall-clock instant after which the walk aborts with TimeoutError.
@@ -348,7 +419,7 @@ def decide(
         trace.append(PrefixRecord(prefix, len(closed_masks), empty, clauses))
         if not empty:
             witness = extract_witness(analysis.closed, prefix)
-            if witness in member or not evaluate(analysis.raw, witness):
+            if witness in member or not _projections_occur(analysis.columns, witness):
                 raise WitnessExtractionFailed(
                     f"witness {witness} for prefix {prefix} failed verification"
                 )

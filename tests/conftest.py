@@ -84,3 +84,35 @@ def worked_candidate():
 @pytest.fixture
 def worked_closure():
     return cnf_of(5, WORKED_CLOSURE)
+
+
+# A counterexample to the paper's closure test at n = 14: phi is all 64
+# solutions of eight parity equations on three variables each, the
+# odd-charge Tseitin formula of K4 with four edges subdivided and a
+# pendant variable (x1..x4) on each subdivision vertex.  The equations sum
+# to x1+x2+x3+x4 = 0, so every odd-parity 4-bit prefix is unsatisfiable,
+# yet width-3 resolution cannot refute what is left of it.
+PARITY_EQUATIONS = (
+    ((1, 5, 6), 0),
+    ((2, 7, 8), 0),
+    ((3, 11, 12), 0),
+    ((4, 13, 14), 0),
+    ((5, 7, 9), 1),
+    ((6, 10, 11), 0),
+    ((8, 10, 13), 0),
+    ((9, 12, 14), 1),
+)
+
+
+def parity_models():
+    """The solutions of PARITY_EQUATIONS over x1..x14, in ascending order."""
+    n = 14
+    rows = [(sum(1 << (n - v) for v in vs), r) for vs, r in PARITY_EQUATIONS]
+    return ModelSet(
+        n,
+        tuple(
+            format(a, f"0{n}b")
+            for a in range(1 << n)
+            if all((a & mask).bit_count() % 2 == r for mask, r in rows)
+        ),
+    )

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from inv3sat import inverse
 from inv3sat.cli import build_parser, main
 
-from conftest import WORKED_MODELS
+from conftest import WORKED_MODELS, parity_models
 
 
 @pytest.fixture
@@ -248,6 +249,56 @@ class TestErrorPaths:
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["no-such-command"])
+
+
+class TestExitThree:
+    def test_closure_test_failure_says_the_method_failed(self, capsys, tmp_path):
+        path = tmp_path / "parity.models"
+        path.write_text("\n".join(parity_models().models) + "\n")
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("paper method failed: ")
+        assert "prefix 0001:" in err
+        assert "internal inconsistency" not in err
+
+    def test_failed_verification_is_an_internal_inconsistency(self, capsys, worked_file, monkeypatch):
+        monkeypatch.setattr(inverse, "extract_witness", lambda formula, prefix: "00000")
+        code, out, err = run(capsys, "decide", "--input", worked_file)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal inconsistency: witness 00000 ")
+
+
+class TestRepeatedMain:
+    # build_parser is built once per process and shared by every main call
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_give_the_first_output(self, capsys, worked_file):
+        calls = [
+            ["candidate", "--input", worked_file],
+            ["closure", "--input", worked_file, "--json"],
+            ["cover", "--input", worked_file, "--paper-mode"],
+            ["decide", "--input", worked_file],
+            ["decide", "--input", worked_file, "--kmin", "4", "--json"],
+            ["oracle", "--input", worked_file],
+            ["cover", "--input", worked_file, "--verbose"],
+            ["fuzz", "--random", "5:3", "--seed", "2"],
+        ]
+
+        def once(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [once(argv) for argv in calls]
+        assert first[6][0] == 2 and "unrecognized arguments: --verbose" in first[6][2]
+        for _ in range(2):
+            assert [once(argv) for argv in calls] == first
 
 
 class TestFuzzCommand:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from inv3sat import (
     Answer,
+    ClosureTestFailed,
+    Cnf,
     ModelSet,
     WitnessExtractionFailed,
     candidate_formula,
@@ -14,14 +16,16 @@ from inv3sat import (
     decide,
     evaluate,
     extract_witness,
+    is_closed_3limited,
     model_prefixes,
     prefix_cover,
     three_limited_closure,
 )
-from inv3sat.closure import prefix_literal_masks, restrict_mask_clauses
+from inv3sat import inverse
+from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, satisfies_clause
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
-from inv3sat.inverse import analyze, probe
+from inv3sat.inverse import _projections_occur, analyze, probe
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -29,7 +33,10 @@ from conftest import (
     WORKED_STRATUM_3,
     WORKED_STRATUM_4,
     WORKED_STRATUM_5,
+    WORKED_MODELS,
     WORKED_WITNESS,
+    PARITY_EQUATIONS,
+    parity_models,
 )
 from strategies import model_sets
 
@@ -283,6 +290,36 @@ class TestDecide:
         assert evaluate(raw, report.witness)
         assert report.witness not in worked_models.member_set()
 
+    def test_witness_that_is_a_model_is_rejected(self, worked_models, monkeypatch):
+        monkeypatch.setattr(inverse, "extract_witness", lambda formula, prefix: WORKED_MODELS[0])
+        with pytest.raises(WitnessExtractionFailed, match="failed verification") as exc:
+            decide(worked_models, kmin=1)
+        assert not isinstance(exc.value, ClosureTestFailed)
+
+    def test_witness_falsifying_a_candidate_clause_is_rejected(self, worked_models, monkeypatch):
+        # 00000 is no model, but it falsifies the candidate clause (1, 2, 3)
+        assert "00000" not in worked_models.member_set()
+        assert not evaluate(candidate_formula(worked_models), "00000")
+        monkeypatch.setattr(inverse, "extract_witness", lambda formula, prefix: "00000")
+        with pytest.raises(WitnessExtractionFailed, match="failed verification") as exc:
+            decide(worked_models, kmin=1)
+        assert not isinstance(exc.value, ClosureTestFailed)
+
+
+class TestProjectionCheck:
+    # decide checks a witness against the candidate's definition instead
+    # of the raw formula: an assignment satisfies the candidate iff each of
+    # its 3-projections occurs in some model.
+
+    @given(st.integers(min_value=3, max_value=6).flatmap(model_sets))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_raw_candidate(self, ms):
+        columns = analyze(ms).columns
+        raw = candidate_formula(ms)
+        for a in range(1 << ms.n):
+            w = format(a, f"0{ms.n}b")
+            assert _projections_occur(columns, w) == evaluate(raw, w), (ms.models, w)
+
 
 class TestExtractWitness:
     def test_prefix_is_kept(self):
@@ -300,7 +337,7 @@ class TestExtractWitness:
 
     def test_unsatisfiable_restriction_raises(self):
         f = cnf_of(3, [(1,), (-1,)])
-        with pytest.raises(WitnessExtractionFailed):
+        with pytest.raises(ClosureTestFailed):
             extract_witness(f, "")
 
     def test_falsified_by_prefix_raises(self):
@@ -335,6 +372,85 @@ class TestProbe:
         walked = dict(analysis.probes)
         decide(analysis, kmin=4)
         assert analysis.probes == walked
+
+    # probe refutes a prefix from the index of closed clauses when one is
+    # falsified outright, and saturates only the other restrictions; either
+    # way it must return what restricting and saturating would.
+
+    def test_exhaustive_n3_every_prefix(self, monkeypatch):
+        calls = _count_restrictions(monkeypatch)
+        for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
+            _probe_matches_saturation(ms, calls)
+
+    def test_random_n4_to_n9_every_prefix(self, monkeypatch):
+        calls = _count_restrictions(monkeypatch)
+        for n in range(4, 10):
+            for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=30, seed=20261019)):
+                _probe_matches_saturation(ms, calls)
+
+
+def _count_restrictions(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return restrict_mask_clauses(*args)
+
+    monkeypatch.setattr(inverse, "restrict_mask_clauses", counted)
+    return calls
+
+
+def _probe_matches_saturation(ms, calls):
+    # the probe restricts exactly the prefixes whose restriction lacks the
+    # empty clause, and returns what restricting and saturating returns
+    analysis = analyze(ms)
+    for k in range(ms.n + 1):
+        for a in range(1 << k):
+            prefix = format(a, f"0{k}b") if k else ""
+            restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
+            calls.clear()
+            assert probe(analysis, prefix) == saturate_masks(restricted, ms.n), (ms.models, prefix)
+            assert len(calls) == (0 not in restricted), (ms.models, prefix)
+
+
+class TestParityCounterexample:
+    # ROADMAP open item 1: at n = 14 the closure test misses an
+    # unsatisfiable restriction.  decide must fail loudly at prefix 0001,
+    # and two certificates that do not use the failing code show why: the
+    # saturated restriction is closed (no width-3 refutation exists) and no
+    # completion of the prefix satisfies the closed formula.
+
+    @pytest.fixture(scope="class")
+    def analysis(self):
+        return analyze(parity_models())
+
+    def test_models_start_with_every_even_parity_prefix(self, analysis):
+        starts = {m[:4] for m in analysis.models.models}
+        assert starts == {format(a, "04b") for a in range(16) if a.bit_count() % 2 == 0}
+
+    def test_decide_fails_at_0001(self, analysis):
+        with pytest.raises(ClosureTestFailed, match="prefix 0001:"):
+            decide(analysis, kmin=1)
+
+    def test_restriction_saturates_without_the_empty_clause(self, analysis):
+        masks, _, _ = probe(analysis, "0001")
+        assert len(masks) == 72
+        assert 0 not in masks
+        assert is_closed_3limited(Cnf(14, frozenset(map(decode_mask, masks))))
+
+    def test_closure_is_the_parity_clauses(self, analysis):
+        # each equation forbids the four patterns of the wrong parity
+        want = {
+            tuple(-v if (bits >> (2 - p)) & 1 else v for p, v in enumerate(vs))
+            for vs, r in PARITY_EQUATIONS
+            for bits in range(8)
+            if bits.bit_count() % 2 != r
+        }
+        assert len(want) == 32
+        assert analysis.closed.clauses == want
+
+    def test_no_completion_satisfies_the_closure(self, analysis):
+        assert not any(evaluate(analysis.closed, "0001" + format(a, "010b")) for a in range(1024))
 
 
 def _short_prefixes_hit_empty_clause(ms):
