@@ -39,10 +39,8 @@ from .inverse import (
     PrefixRecord,
     WitnessExtractionFailed,
     candidate_formula,
-    cover_stratum,
     decide,
     extract_witness,
-    model_prefixes,
     prefix_cover,
 )
 from .oracle import OracleVerdict, oracle_decide, verify_witness
@@ -68,7 +66,6 @@ __all__ = [
     "WitnessExtractionFailed",
     "candidate_formula",
     "cnf_of",
-    "cover_stratum",
     "decide",
     "evaluate",
     "extract_witness",
@@ -76,7 +73,6 @@ __all__ = [
     "format_formula",
     "is_closed_3limited",
     "mk_clause",
-    "model_prefixes",
     "oracle_decide",
     "prefix_cover",
     "read_models",

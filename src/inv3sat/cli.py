@@ -41,6 +41,7 @@ from .harness import (
     render_summary,
 )
 from .inverse import (
+    MAX_KMIN,
     Answer,
     ClosureTestFailed,
     WitnessExtractionFailed,
@@ -53,14 +54,15 @@ from .oracle import oracle_decide
 
 
 def _kmin(args: argparse.Namespace) -> int:
-    """The shortest cover stratum, from --kmin or --paper-mode (default 1)."""
+    """The shortest cover stratum, 1..4, from --kmin or --paper-mode (default 1)."""
     if args.kmin is not None and args.paper_mode and args.kmin != 4:
         raise InputFormatError("--kmin and --paper-mode disagree; pick one")
     kmin = args.kmin
     if kmin is None:
         kmin = 4 if args.paper_mode else 1
-    if kmin < 1:
-        raise InputFormatError("--kmin must be at least 1")
+    if not 1 <= kmin <= MAX_KMIN:
+        raise InputFormatError(f"--kmin must be 1..{MAX_KMIN}, got {kmin}: a larger kmin "
+                               f"skips stratum {MAX_KMIN}, which can hold every extra model")
     return kmin
 
 
@@ -291,7 +293,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 _FLAGS = {
     "--input": dict(required=True, help="model set file, one 0/1 assignment per line"),
-    "--kmin": dict(type=int, default=None, help="shortest cover stratum (default 1)"),
+    "--kmin": dict(type=int, default=None, help="shortest cover stratum, 1..4 (default 1)"),
     "--paper-mode": dict(action="store_true", help="shorthand for --kmin 4"),
     "--seed": dict(type=int, default=0, help="campaign seed"),
     "--oracle-cap": dict(type=int, default=ENUMERATION_CAP, help="variable cap for enumeration"),

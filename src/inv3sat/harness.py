@@ -35,6 +35,7 @@ from .formula import (
     satisfying_mask,
 )
 from .inverse import (
+    MAX_KMIN,
     Answer,
     WitnessExtractionFailed,
     analyze,
@@ -209,8 +210,8 @@ def examine_instance(
 
     alt_compared = alt_kmin is not None and 1 <= alt_kmin <= n and alt_kmin != kmin and error is None
     # strata do not depend on kmin, so every walk here takes its prefixes
-    # from the one full cover
-    cover = prefix_cover(models, 1).entries() if alt_compared or quine_probe or closedness_stats else ()
+    # from the analysis' one full cover
+    cover = analysis.cover.entries()
     alt_divergence = False
     if alt_compared:
         alt_yes = any(0 not in probe(analysis, p)[0] for p in cover if len(p) >= alt_kmin)
@@ -520,6 +521,8 @@ def differential_run(
 ) -> CampaignResult:
     """Score every generated instance against the oracle and classify failures.
 
+    kmin must lie in 1..4 (see `decide`), else ValueError before anything
+    is generated; an instance with fewer variables walks from kmin=n.
     Every instance is also walked at the other cover floor (4 for kmin=1,
     else 1).  closedness_sample=0 collects already-closed-restriction
     statistics on every instance when quine_probe is set and on none
@@ -527,6 +530,8 @@ def differential_run(
     function of specs and configuration: identical runs render identical
     reports.
     """
+    if not 1 <= kmin <= MAX_KMIN:
+        raise ValueError(f"kmin {kmin} out of range 1..{MAX_KMIN}")
     alt = 4 if kmin == 1 else 1
 
     def payloads() -> Iterator[tuple]:

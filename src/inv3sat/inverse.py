@@ -16,13 +16,16 @@ The candidate's closure is exactly the set of minimal clauses of width
 <= 3 that every model satisfies, so `analyze` reads it off per-variable
 model bitsets without building the raw candidate; `candidate_formula`
 builds the raw candidate from the same bitsets for the oracle and the CLI.
-A prefix that falsifies a closed clause outright is refuted by an index
-over the closed clauses; resolution runs only on the other restrictions,
-and `three_limited_closure` stays step 1's test reference.
+The same bitsets test a witness (it must show no projection onto three
+variables that no model shows) and refute, without resolution, a prefix
+that shows one: it falsifies a closed clause outright.  `analyze` also
+builds the instance's one prefix cover, which every walk shares, and
+`three_limited_closure` stays step 1's test reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -139,46 +142,21 @@ def candidate_formula(models: ModelSet) -> Cnf:
 
 
 def _projections_occur(col: list[tuple[int, int]], assignment: str) -> bool:
-    """Whether every 3-projection of the assignment occurs in some model,
-    which is exactly when it satisfies the candidate formula."""
+    """Whether every projection of a prefix or a full assignment onto at
+    most three variables occurs in some model: for a full assignment iff it
+    satisfies the candidate, for a prefix iff it falsifies no closed clause.
+    The last position goes first, since a cover prefix without its last bit
+    starts a model."""
     picked = [c[bit == "1"] for c, bit in zip(col, assignment)]
-    for j in range(1, len(picked) - 1):
-        later = picked[j + 1 :]
-        for i in range(j):
-            both = picked[i] & picked[j]
-            if not all(both & ck for ck in later):
+    for k in range(len(picked) - 1, -1, -1):
+        ck = picked[k]
+        if not ck:
+            return False
+        for j in range(k):
+            both = picked[j] & ck
+            if not both or not all(both & ci for ci in picked[:j]):
                 return False
     return True
-
-
-def model_prefixes(models: ModelSet, k: int) -> frozenset[str]:
-    """Length-k prefixes of the models; k=0 gives the empty prefix."""
-    if not 0 <= k <= models.n:
-        raise ValueError(f"prefix length {k} out of range 0..{models.n}")
-    return frozenset(m[:k] for m in models.models)
-
-
-def cover_stratum(models: ModelSet, k: int) -> tuple[str, ...]:
-    """Length-k prefixes that branch off the model tree at depth k.
-
-    For each model, flip its k-th bit; keep the result when no model has
-    that length-k prefix.  Every assignment outside the model set extends
-    exactly one such prefix (taken over all k), which is what makes the
-    strata a usable cover of the complement.  Order follows first
-    occurrence over the models as presented.
-    """
-    if not 1 <= k <= models.n:
-        raise ValueError(f"stratum index {k} out of range 1..{models.n}")
-    present = model_prefixes(models, k)
-    out = []
-    seen = set()
-    for m in models.models:
-        flipped = m[: k - 1] + ("1" if m[k - 1] == "0" else "0")
-        if flipped in present or flipped in seen:
-            continue
-        seen.add(flipped)
-        out.append(flipped)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -203,13 +181,23 @@ class PrefixCover:
 def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
     """Build all cover strata from kmin upward.
 
-    kmin=1 covers the whole complement.  kmin=4 drops the three shortest
-    strata; whether that loses real witnesses is exactly what the harness
-    compares.
+    Stratum k flips the last bit of each length-k model prefix and keeps
+    the flips that no model starts with, in first-occurrence order over the
+    models; every assignment outside the model set extends exactly one
+    prefix over all strata.  kmin=1 covers the whole complement; a larger
+    kmin drops the shorter strata.
     """
     if not 1 <= kmin <= models.n:
         raise ValueError(f"kmin {kmin} out of range 1..{models.n}")
-    strata = {k: cover_stratum(models, k) for k in range(kmin, models.n + 1)}
+    strata = {}
+    for k in range(kmin, models.n + 1):
+        present = dict.fromkeys([m[:k] for m in models.models])  # ordered set
+        stratum = []
+        for p in present:
+            flipped = p[:-1] + ("1" if p[-1] == "0" else "0")
+            if flipped not in present:
+                stratum.append(flipped)
+        strata[k] = tuple(stratum)
     return PrefixCover(models.n, kmin, strata)
 
 
@@ -313,29 +301,33 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
 # what saturate_masks returns on a clause set that holds the empty clause
 _REFUTED = (frozenset({0}), 0, 0)
 
+# strata 1-3 never answer yes, so every kmin up to 4 gives the same answer;
+# a larger kmin skips stratum 4, which can
+MAX_KMIN = 4
+
 
 @dataclass(frozen=True)
 class Analysis:
-    """One model set's columns, closed candidate and closed clause masks,
-    built once and shared by every walk over its cover.
+    """What one model set's walks need, built once and shared by them: the
+    columns, the closed candidate and its clause masks, and the kmin=1
+    prefix cover.
 
-    `by_top` groups the masks by their highest literal slot (see
-    `closure.encode_clause`).  `probes` memoises `probe` per prefix: the
-    saturated clause set and its counters, never the restricted set that
-    fed them.
+    `timings` holds the build time of steps 1 and 2.  `probes` memoises
+    `probe` per prefix: the saturated clause set and its counters, never
+    the restricted set that fed them.
     """
 
     models: ModelSet
     columns: list[tuple[int, int]] = field(compare=False)
     closed: Cnf
     masks: tuple[int, ...]
-    by_top: list[list[int]] = field(compare=False)
-    build_s: float
+    cover: PrefixCover
+    timings: dict[str, float] = field(compare=False)
     probes: dict[str, tuple[frozenset[int], int, int]] = field(default_factory=dict, compare=False)
 
 
 def analyze(models: ModelSet) -> Analysis:
-    """Build the closed candidate formula in one bitset pass.
+    """Build the closed candidate formula in one bitset pass, then the cover.
 
     The closure is computed directly as the subsumption-minimal clauses of
     width <= 3 that every model satisfies, which is exactly what bounded
@@ -347,10 +339,13 @@ def analyze(models: ModelSet) -> Analysis:
     columns = _columns(models)
     closed = _closure(columns)
     masks = tuple(encode_clause(c) for c in closed.clauses)
-    by_top: list[list[int]] = [[] for _ in range(2 * models.n)]
-    for m in masks:
-        by_top[m.bit_length() - 1].append(m)
-    return Analysis(models, columns, closed, masks, by_top, time.perf_counter() - start)
+    built = time.perf_counter()
+    cover = prefix_cover(models, 1)
+    timings = {
+        "step1_candidate_closure": built - start,
+        "step2_prefix_cover": time.perf_counter() - built,
+    }
+    return Analysis(models, columns, closed, masks, cover, timings)
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
@@ -359,22 +354,17 @@ def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     Returns the saturated clause masks (0 is the empty clause), the
     resolvents added and the clauses deleted by subsumption.  A restriction
     holds the empty clause exactly when some closed clause has every
-    literal false under the prefix; such a clause's highest literal is the
-    false one at some prefix position, so only those groups of `by_top`
-    are scanned, and the prefix is refuted without restricting or
+    literal false under the prefix, which is when some projection of the
+    prefix onto at most three variables occurs in no model
+    (`_projections_occur`); such a prefix is refuted without restricting or
     saturating anything.
     """
     result = analysis.probes.get(prefix)
     if result is None:
-        true_mask, false_mask = prefix_literal_masks(prefix)
-        if any(
-            m & false_mask == m
-            for i, bit in enumerate(prefix)
-            for m in analysis.by_top[2 * i + (bit == "1")]
-        ):
+        if not _projections_occur(analysis.columns, prefix):
             result = _REFUTED
         else:
-            restricted = restrict_mask_clauses(analysis.masks, true_mask, false_mask)
+            restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
             result = saturate_masks(restricted, analysis.models.n)
         analysis.probes[prefix] = result
     return result
@@ -387,30 +377,33 @@ def decide(
 ) -> DecisionReport:
     """Decide whether the candidate formula has a model outside the set.
 
-    Walks the prefix cover in canonical order (shortest stratum first,
-    construction order within a stratum) and stops at the first prefix
-    whose restricted closure lacks the empty clause; the witness built
-    there is checked against the definition of the candidate formula
-    (every 3-projection of the witness occurs in some model, see
-    `_projections_occur`) and against the model set before it is
-    reported, so the raw candidate is never built.  An exhausted witness
-    search raises ClosureTestFailed; a witness that fails the check raises
+    Walks the analysis' cover prefixes of length >= kmin in canonical order
+    (shortest stratum first, construction order within a stratum) and stops
+    at the first prefix whose restricted closure lacks the empty clause;
+    the witness built there is checked against the definition of the
+    candidate formula (every 3-projection of the witness occurs in some
+    model, see `_projections_occur`) and against the model set before it
+    is reported, so the raw candidate is never built.  kmin must lie in
+    1..min(MAX_KMIN, n), else ValueError.  An exhausted witness search
+    raises ClosureTestFailed; a witness that fails the check raises
     WitnessExtractionFailed.  `models` may be an `analyze` result, whose
-    probes the walk then shares with other walks over the same set; step
-    1's timing is always the analysis' build time.  `deadline` is a
-    wall-clock instant after which the walk aborts with TimeoutError.
+    cover and probes the walk then shares with other walks over the same
+    set; the timings of steps 1 and 2 are always the analysis' build times.
+    `deadline` is a wall-clock instant after which the walk aborts with
+    TimeoutError.
     """
     analysis = models if isinstance(models, Analysis) else analyze(models)
     models = analysis.models
-    t1 = time.perf_counter()
-    cover = prefix_cover(models, kmin)
-    t2 = time.perf_counter()
+    if not 1 <= kmin <= min(MAX_KMIN, models.n):
+        raise ValueError(f"kmin {kmin} out of range 1..{min(MAX_KMIN, models.n)}")
+    start = time.perf_counter()
+    strata = [analysis.cover.strata[k] for k in range(kmin, models.n + 1)]
 
     member = models.member_set()
     trace: list[PrefixRecord] = []
     witness = None
     answer = Answer.NO_EXTRA_MODEL
-    for prefix in cover.entries():
+    for prefix in itertools.chain(*strata):
         if deadline is not None and time.perf_counter() > deadline:
             raise TimeoutError("prefix walk exceeded its deadline")
         closed_masks = probe(analysis, prefix)[0]
@@ -425,18 +418,13 @@ def decide(
                 )
             answer = Answer.EXTRA_MODEL_EXISTS
             break
-    t3 = time.perf_counter()
 
     return DecisionReport(
         answer=answer,
         witness=witness,
         kmin=kmin,
         n=models.n,
-        cover_size=cover.total(),
+        cover_size=sum(map(len, strata)),
         trace=tuple(trace),
-        timings={
-            "step1_candidate_closure": analysis.build_s,
-            "step2_prefix_cover": t2 - t1,
-            "step3_prefix_walk": t3 - t2,
-        },
+        timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
     )

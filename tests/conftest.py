@@ -70,6 +70,15 @@ WORKED_EXTRAS = ("00101", "01111", "10111", "11101")
 
 WORKED_WITNESS = "10111"
 
+# Thirteen models over n = 5 whose four extra models (00011 10001 10110
+# 10111) all extend stratum-4 cover prefixes, so a walk that skipped
+# stratum 4 would wrongly call the set exact.
+STRATUM4_MODELS = (
+    "00110", "01010", "00111", "10011", "11010", "11001", "10100",
+    "00001", "11100", "11000", "01110", "10101", "11110",
+)
+STRATUM4_WITNESS = "10001"
+
 
 @pytest.fixture
 def worked_models():

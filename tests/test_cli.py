@@ -5,7 +5,7 @@ import pytest
 from inv3sat import inverse
 from inv3sat.cli import build_parser, main
 
-from conftest import WORKED_MODELS, parity_models
+from conftest import STRATUM4_MODELS, WORKED_MODELS, parity_models
 
 
 @pytest.fixture
@@ -245,6 +245,18 @@ class TestErrorPaths:
     def test_kmin_above_n_exits_2(self, capsys, worked_file):
         code, _, _ = run(capsys, "decide", "--input", worked_file, "--kmin", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["cover", "decide", "fuzz"])
+    def test_kmin_above_4_exits_2(self, capsys, tmp_path, command):
+        # every extra model of this set lies under a stratum-4 prefix, so
+        # a walk from kmin 5 would call it exact
+        path = tmp_path / "stratum4.models"
+        path.write_text("\n".join(STRATUM4_MODELS) + "\n")
+        family = ["--input", str(path)] if command != "fuzz" else ["--random", "5:2"]
+        code, out, err = run(capsys, command, *family, "--kmin", "5")
+        assert code == 2
+        assert out == ""
+        assert "--kmin must be 1..4" in err
 
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):

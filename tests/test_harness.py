@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from inv3sat import Answer, Cnf, ModelSet, harness, oracle_decide
+from inv3sat import Answer, Cnf, ModelSet, harness, inverse, oracle_decide
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -11,6 +11,7 @@ from inv3sat.harness import (
     RANDOM_SUBSET,
     bench_csv,
     bench_scaling,
+    classify,
     derive_seed,
     differential_run,
     examine_instance,
@@ -22,7 +23,7 @@ from inv3sat.harness import (
     shrink,
 )
 
-from conftest import WORKED_MODELS
+from conftest import WORKED_MODELS, parity_models
 
 
 class TestSeeds:
@@ -120,6 +121,22 @@ class TestExamineInstance:
         assert exam.quine_mismatch_prefixes == ("1011", "0111", "11101", "00101")
         assert exam.needs_attention()
 
+    def test_one_cover_per_instance(self, monkeypatch):
+        # harness imports prefix_cover by name, so both lookups are counted
+        calls = []
+        real = inverse.prefix_cover
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "prefix_cover", counted)
+        monkeypatch.setattr(harness, "prefix_cover", counted)
+        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1,
+                                alt_kmin=4, quine_probe=True)
+        assert exam.alt_compared and exam.quine_pairs == 14
+        assert len(calls) == 1
+
     def test_closedness_stats_collected(self):
         ms = ModelSet(5, WORKED_MODELS)
         exam = examine_instance(
@@ -155,6 +172,18 @@ class TestShrink:
         small = shrink(ms, lambda m: True)
         assert small.n == 3
         assert len(small) == 1
+
+
+class TestClassify:
+    def test_parity_counterexample_is_a_paper_claim(self):
+        # the n = 14 parity instance (ROADMAP open item 1) fails the closure
+        # test, and its shrunk core passes every implementation invariant
+        report = classify(examine_instance("parity", 0, parity_models(), kmin=1), 1)
+        assert report.classification == "PAPER-CLAIM"
+        assert report.kind == "pipeline-error"
+        assert report.minimized_n == 14
+        assert len(report.minimized_models) == 18
+        assert report.battery_failures == ()
 
 
 class TestInvariantBattery:
@@ -229,6 +258,14 @@ class TestDifferentialRun:
             "reports",
         ):
             assert key in payload
+
+    def test_kmin_above_4_rejected_before_generating(self, monkeypatch):
+        def unexpected(spec):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(harness, "generate_with_ids", unexpected)
+        with pytest.raises(ValueError, match="kmin"):
+            differential_run([InstanceSpec(RANDOM_SUBSET, 5, count=1)], kmin=5)
 
     def test_closedness_sampling(self):
         specs = [InstanceSpec(RANDOM_SUBSET, 5, count=20, seed=4)]

@@ -12,12 +12,10 @@ from inv3sat import (
     WitnessExtractionFailed,
     candidate_formula,
     cnf_of,
-    cover_stratum,
     decide,
     evaluate,
     extract_witness,
     is_closed_3limited,
-    model_prefixes,
     prefix_cover,
     three_limited_closure,
 )
@@ -36,6 +34,8 @@ from conftest import (
     WORKED_MODELS,
     WORKED_WITNESS,
     PARITY_EQUATIONS,
+    STRATUM4_MODELS,
+    STRATUM4_WITNESS,
     parity_models,
 )
 from strategies import model_sets
@@ -139,34 +139,35 @@ class TestClosedCandidate:
 
 class TestPrefixSets:
     def test_model_prefixes(self, worked_models):
-        assert model_prefixes(worked_models, 4) == frozenset(
-            {"0011", "0101", "1010", "1110", "1111", "1001", "0110", "0010"}
-        )
-
-    def test_model_prefixes_bounds(self, worked_models):
-        assert model_prefixes(worked_models, 0) == frozenset({""})
-        with pytest.raises(ValueError):
-            model_prefixes(worked_models, 6)
+        # the length-4 strings that extend no cover prefix start a model
+        strata = prefix_cover(worked_models).strata
+        covered = {p for k in range(1, 5) for p in strata[k]}
+        starts = {
+            s for s in (format(a, "04b") for a in range(16))
+            if not any(s[:k] in covered for k in range(1, 5))
+        }
+        assert starts == {"0011", "0101", "1010", "1110", "1111", "1001", "0110", "0010"}
 
     def test_stratum_golden_k4(self, worked_models):
-        assert cover_stratum(worked_models, 4) == WORKED_STRATUM_4
+        assert prefix_cover(worked_models).strata[4] == WORKED_STRATUM_4
 
     def test_stratum_golden_k5(self, worked_models):
-        assert cover_stratum(worked_models, 5) == WORKED_STRATUM_5
+        assert prefix_cover(worked_models).strata[5] == WORKED_STRATUM_5
 
     def test_stratum_golden_k3(self, worked_models):
-        assert cover_stratum(worked_models, 3) == WORKED_STRATUM_3
+        assert prefix_cover(worked_models).strata[3] == WORKED_STRATUM_3
 
     def test_strata_k1_k2_empty_here(self, worked_models):
-        assert cover_stratum(worked_models, 1) == ()
-        assert cover_stratum(worked_models, 2) == ()
+        strata = prefix_cover(worked_models).strata
+        assert strata[1] == ()
+        assert strata[2] == ()
 
     def test_stratum_preserves_presentation_order(self):
         # Flipping the last bit of each model, first-seen order wins.
         ms = ModelSet(3, ("111", "000"))
-        assert cover_stratum(ms, 3) == ("110", "001")
+        assert prefix_cover(ms).strata[3] == ("110", "001")
         swapped = ModelSet(3, ("000", "111"))
-        assert cover_stratum(swapped, 3) == ("001", "110")
+        assert prefix_cover(swapped).strata[3] == ("001", "110")
 
 
 class TestPrefixCover:
@@ -280,6 +281,28 @@ class TestDecide:
         assert shared.witness == direct.witness
         assert shared.trace == direct.trace
 
+    def test_kmin_up_to_4_agree_and_larger_is_rejected(self):
+        ms = ModelSet(5, STRATUM4_MODELS)
+        for kmin in (1, 2, 3, 4):
+            assert decide(ms, kmin=kmin).witness == STRATUM4_WITNESS
+        for kmin in (0, 5):
+            with pytest.raises(ValueError, match="kmin"):
+                decide(ms, kmin=kmin)
+
+    def test_kmin_above_n_is_rejected(self):
+        with pytest.raises(ValueError, match="kmin"):
+            decide(ModelSet(3, ("111",)), kmin=4)
+
+    def test_walks_the_analysis_cover(self, worked_models, monkeypatch):
+        analysis = analyze(worked_models)
+
+        def unexpected(*args):
+            raise AssertionError("decide built a cover of its own")
+
+        monkeypatch.setattr(inverse, "prefix_cover", unexpected)
+        assert decide(analysis, kmin=1).cover_size == analysis.cover.total() == 14
+        assert decide(analysis, kmin=4).cover_size == 12
+
     def test_deadline_expiry_raises(self, worked_models):
         with pytest.raises(TimeoutError):
             decide(worked_models, kmin=1, deadline=0.0)
@@ -373,9 +396,10 @@ class TestProbe:
         decide(analysis, kmin=4)
         assert analysis.probes == walked
 
-    # probe refutes a prefix from the index of closed clauses when one is
-    # falsified outright, and saturates only the other restrictions; either
-    # way it must return what restricting and saturating would.
+    # probe refutes a prefix outright when one of its projections onto at
+    # most three variables occurs in no model, and saturates only the other
+    # restrictions; either way it must return what restricting and
+    # saturating would.
 
     def test_exhaustive_n3_every_prefix(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
@@ -401,13 +425,15 @@ def _count_restrictions(monkeypatch):
 
 
 def _probe_matches_saturation(ms, calls):
-    # the probe restricts exactly the prefixes whose restriction lacks the
-    # empty clause, and returns what restricting and saturating returns
+    # the projection test passes exactly when no closed clause is falsified
+    # outright, the probe restricts exactly those prefixes, and it returns
+    # what restricting and saturating returns
     analysis = analyze(ms)
     for k in range(ms.n + 1):
         for a in range(1 << k):
             prefix = format(a, f"0{k}b") if k else ""
             restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
+            assert _projections_occur(analysis.columns, prefix) == (0 not in restricted), (ms.models, prefix)
             calls.clear()
             assert probe(analysis, prefix) == saturate_masks(restricted, ms.n), (ms.models, prefix)
             assert len(calls) == (0 not in restricted), (ms.models, prefix)
