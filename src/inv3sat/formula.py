@@ -222,10 +222,16 @@ def assignment_mask(models: Iterable[str]) -> int:
 
 def mask_to_models(mask: int, n: int) -> tuple[str, ...]:
     """Decode a truth-table mask into assignment strings, ascending."""
+    bits = format(mask, "b")  # one scan; bit 0 is the last digit
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(format(low.bit_length() - 1, f"0{n}b"))
-        mask ^= low
+    i = bits.rfind("1")
+    while i >= 0:
+        out.append(format(len(bits) - 1 - i, f"0{n}b"))
+        i = bits.rfind("1", 0, i)
     return tuple(out)
 
+
+def prefix_window(mask: int, prefix: str, n: int) -> int:
+    """Truth table, over the free variables, of the assignments extending prefix."""
+    free = n - len(prefix)
+    return (mask >> (int(prefix, 2) << free)) & ((1 << (1 << free)) - 1)

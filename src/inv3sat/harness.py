@@ -21,17 +21,20 @@ from typing import Callable, Iterable, Iterator
 from .closure import (
     decode_mask,
     encode_clause,
+    is_closed_3limited,
     prefix_literal_masks,
     restrict_mask_clauses,
     three_limited_closure,
 )
 from .formula import (
+    CapExceeded,
     Cnf,
     ENUMERATION_CAP,
     ModelSet,
     assignment_mask,
     cnf_of,
     mask_to_models,
+    prefix_window,
     satisfying_mask,
 )
 from .inverse import (
@@ -52,7 +55,6 @@ RANDOM_3CNF_MODELS = "random-3cnf-models"
 
 MAX_DIVERGENCE_EXAMPLES = 100
 MAX_CNF_MODELS = 64
-BATTERY_CAP = 16
 
 
 class GeneratorExhausted(RuntimeError):
@@ -109,12 +111,9 @@ def _gen_3cnf_models(spec: InstanceSpec, index: int) -> tuple[int, ModelSet]:
             vs = rng.sample(range(1, n + 1), 3)
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         mask = satisfying_mask(cnf_of(n, clauses))
-        if mask == 0:
+        if mask == 0 or mask.bit_count() > MAX_CNF_MODELS:
             continue
-        found = mask_to_models(mask, n)
-        if len(found) > MAX_CNF_MODELS:
-            continue
-        return inst_seed, ModelSet(n, found)
+        return inst_seed, ModelSet(n, mask_to_models(mask, n))
     raise GeneratorExhausted(f"no satisfiable draw within budget for {spec}")
 
 
@@ -233,9 +232,8 @@ def examine_instance(
                 quine_pairs += 1
                 no_empty = 0 not in closed_masks
                 # the restriction is satisfiable iff a model of the closed
-                # formula extends the prefix: a window of its truth table
-                free = n - len(prefix)
-                sat = (closed_sat >> (int(prefix, 2) << free)) & ((1 << (1 << free)) - 1) != 0
+                # formula extends the prefix
+                sat = prefix_window(closed_sat, prefix, n) != 0
                 if sat != no_empty:
                     mismatches.append(prefix)
 
@@ -307,19 +305,20 @@ class BatteryResult:
     failures: tuple[str, ...]
 
 
-def invariant_battery(models: ModelSet) -> BatteryResult:
+def invariant_battery(models: ModelSet, cap: int = ENUMERATION_CAP) -> BatteryResult:
     """Re-derive the pipeline's supporting invariants from first principles.
 
     Everything here is independent of the closure engine's own claims:
     candidate maximality by direct double loop, closure checks against
-    whole-truth-table enumeration, restriction semantics pointwise, cover
-    exactness by membership scan.  The closure that step 1 builds without
+    whole truth tables, restriction semantics and cover exactness on
+    truth-table windows.  The closure that step 1 builds without
     resolution is checked against the engine's closure of the candidate.
+    Raises CapExceeded past cap variables, as the oracle does.
     """
-    failures: list[str] = []
     n = models.n
-    if n > BATTERY_CAP:
-        return BatteryResult(False, (f"battery-skipped: n={n} exceeds enumeration cap {BATTERY_CAP}",))
+    if n > cap:
+        raise CapExceeded(f"battery over {n} variables exceeds cap {cap}")
+    failures: list[str] = []
 
     raw = candidate_formula(models)
     member_mask = assignment_mask(models.models)
@@ -349,46 +348,38 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
     if analyze(models).closed != closed:
         failures.append("closure-direct")
 
-    from .closure import is_closed_3limited
-
     if not is_closed_3limited(closed):
         failures.append("closure-fixpoint")
     again = three_limited_closure(closed)
     if again.closed_formula != closed or again.resolution_steps or again.subsumption_deletions:
         failures.append("closure-idempotence")
-    if satisfying_mask(raw) != satisfying_mask(closed):
+    closed_sat = satisfying_mask(closed)
+    if satisfying_mask(raw) != closed_sat:
         failures.append("closure-model-preservation")
 
-    closed_sat = satisfying_mask(closed)
-    full = (1 << (1 << n)) - 1
     masks = [encode_clause(c) for c in closed.clauses]
     cover = prefix_cover(models, 1)
     for prefix in cover.entries():
         tm, fm = prefix_literal_masks(prefix)
         restricted = restrict_mask_clauses(masks, tm, fm)
-        rest_cnf = Cnf(n, frozenset(decode_mask(m) for m in restricted))
-        rest_sat = satisfying_mask(rest_cnf)
         k = len(prefix)
-        for a in range(1 << n):
-            s = format(a, f"0{n}b")
-            overridden = int(prefix + s[k:], 2)
-            expect = bool(closed_sat >> overridden & 1)
-            got = bool(rest_sat >> a & 1)
-            if expect != got:
-                failures.append(f"restriction-semantics@{prefix}")
-                break
-        else:
-            continue
-        break
+        rest_cnf = Cnf(n - k, frozenset(decode_mask(m >> 2 * k) for m in restricted))
+        if any(m & (tm | fm) for m in restricted) or (
+            satisfying_mask(rest_cnf) != prefix_window(closed_sat, prefix, n)
+        ):
+            failures.append(f"restriction-semantics@{prefix}")
+            break
 
     if cover.total() > n * len(models.models):
         failures.append("cover-size-bound")
-    for a in range(1 << n):
-        s = format(a, f"0{n}b")
-        hit = any(s[:k] in set(cover.strata.get(k, ())) for k in range(1, n + 1))
-        if hit == bool(member_mask >> a & 1):
-            failures.append(f"cover-exactness@{s}")
-            break
+    covered = 0
+    for prefix in cover.entries():
+        free = n - len(prefix)
+        covered |= ((1 << (1 << free)) - 1) << (int(prefix, 2) << free)
+    # an assignment is wrong when it is both covered and a model, or neither
+    wrong = ((1 << (1 << n)) - 1) ^ covered ^ member_mask
+    if wrong:
+        failures.append(f"cover-exactness@{format((wrong & -wrong).bit_length() - 1, f'0{n}b')}")
 
     return BatteryResult(not failures, tuple(failures))
 
@@ -440,7 +431,7 @@ def classify(
         "minimized", 0, minimized, kmin=min(kmin, minimized.n), cap=cap,
         quine_probe=bool(exam.quine_mismatch_prefixes),
     )
-    battery = invariant_battery(minimized)
+    battery = invariant_battery(minimized, cap=cap)
     classification = "PAPER-CLAIM" if battery.passed else "IMPLEMENTATION-BUG"
 
     formula_models = mask_to_models(

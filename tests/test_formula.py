@@ -26,6 +26,7 @@ from inv3sat.formula import (
     clause_sort_key,
     mask_to_models,
     prefix_bindings,
+    prefix_window,
     satisfies_clause,
     satisfying_mask,
 )
@@ -222,3 +223,22 @@ class TestTruthTables:
         for a in range(2**4):
             assert bool(mask >> a & 1) == evaluate(f, format(a, "04b"))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_full_and_empty_tables_round_trip(self, n):
+        everything = tuple(format(a, f"0{n}b") for a in range(1 << n))
+        full = (1 << (1 << n)) - 1
+        assert mask_to_models(full, n) == everything
+        assert assignment_mask(everything) == full
+        assert mask_to_models(0, n) == ()
+
+    @given(formulas(4))
+    def test_prefix_window_against_pointwise_evaluation(self, f):
+        mask = satisfying_mask(f)
+        for k in range(1, 5):
+            for p in range(1 << k):
+                prefix = format(p, f"0{k}b")
+                window = prefix_window(mask, prefix, 4)
+                for a in range(1 << (4 - k)):
+                    rest = format(a, f"0{4 - k}b") if k < 4 else ""
+                    assert bool(window >> a & 1) == evaluate(f, prefix + rest)
+                assert window >> (1 << (4 - k)) == 0

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from inv3sat import Answer, Cnf, ModelSet, harness, inverse, oracle_decide
+from inv3sat import Answer, CapExceeded, Cnf, ModelSet, harness, inverse, oracle_decide
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -22,6 +22,7 @@ from inv3sat.harness import (
     render_summary,
     shrink,
 )
+from inv3sat.oracle import OracleVerdict
 
 from conftest import WORKED_MODELS, parity_models
 
@@ -210,6 +211,59 @@ class TestInvariantBattery:
         monkeypatch.setattr(harness, "analyze", lossy)
         result = invariant_battery(ModelSet(5, WORKED_MODELS))
         assert result.failures == ("closure-direct",)
+
+    def test_restriction_keeping_false_literals_is_caught(self, monkeypatch):
+        def keep_false(masks, true_mask, false_mask):
+            return {m for m in masks if not m & true_mask}
+
+        monkeypatch.setattr(harness, "restrict_mask_clauses", keep_false)
+        result = invariant_battery(ModelSet(5, WORKED_MODELS))
+        assert result.failures == ("restriction-semantics@000",)
+
+    def _cover_with(self, monkeypatch, edit):
+        real = harness.prefix_cover
+
+        def faulty(models, kmin=1):
+            cover = real(models, kmin)
+            return dataclasses.replace(cover, strata={**cover.strata, 5: edit(cover.strata[5])})
+
+        monkeypatch.setattr(harness, "prefix_cover", faulty)
+        return invariant_battery(ModelSet(5, WORKED_MODELS))
+
+    def test_cover_missing_a_prefix_is_caught(self, monkeypatch):
+        result = self._cover_with(monkeypatch, lambda stratum: stratum[1:])
+        assert result.failures == ("cover-exactness@00110",)
+
+    def test_cover_holding_a_model_is_caught(self, monkeypatch):
+        result = self._cover_with(monkeypatch, lambda stratum: stratum + (WORKED_MODELS[0],))
+        assert result.failures == ("cover-exactness@00111",)
+
+    def test_battery_raises_past_its_cap(self):
+        with pytest.raises(CapExceeded):
+            invariant_battery(ModelSet(5, WORKED_MODELS), cap=4)
+
+    def test_full_parity_set_passes(self):
+        assert invariant_battery(parity_models()) == harness.BatteryResult(True, ())
+
+    def test_classify_hands_its_cap_to_the_battery(self, monkeypatch):
+        # an oracle that always reports a model nobody can find makes every
+        # instance disagree, so classify reaches the battery on a small core
+        caps = []
+        real = harness.invariant_battery
+
+        def lying_oracle(models, cap):
+            return OracleVerdict(("bogus",), 1 << models.n)
+
+        def spy(models, cap):
+            caps.append(cap)
+            return real(models, cap=cap)
+
+        monkeypatch.setattr(harness, "oracle_decide", lying_oracle)
+        monkeypatch.setattr(harness, "invariant_battery", spy)
+        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), cap=7)
+        report = classify(exam, 1, cap=7)
+        assert caps == [7]
+        assert report.kind == "answer-disagreement"
 
 
 class TestDifferentialRun:
