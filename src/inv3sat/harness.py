@@ -27,7 +27,6 @@ from .closure import (
     three_limited_closure,
 )
 from .formula import (
-    CapExceeded,
     Cnf,
     ENUMERATION_CAP,
     ModelSet,
@@ -305,7 +304,7 @@ class BatteryResult:
     failures: tuple[str, ...]
 
 
-def invariant_battery(models: ModelSet, cap: int = ENUMERATION_CAP) -> BatteryResult:
+def invariant_battery(models: ModelSet) -> BatteryResult:
     """Re-derive the pipeline's supporting invariants from first principles.
 
     Everything here is independent of the closure engine's own claims:
@@ -313,11 +312,8 @@ def invariant_battery(models: ModelSet, cap: int = ENUMERATION_CAP) -> BatteryRe
     whole truth tables, restriction semantics and cover exactness on
     truth-table windows.  The closure that step 1 builds without
     resolution is checked against the engine's closure of the candidate.
-    Raises CapExceeded past cap variables, as the oracle does.
     """
     n = models.n
-    if n > cap:
-        raise CapExceeded(f"battery over {n} variables exceeds cap {cap}")
     failures: list[str] = []
 
     raw = candidate_formula(models)
@@ -431,7 +427,7 @@ def classify(
         "minimized", 0, minimized, kmin=min(kmin, minimized.n), cap=cap,
         quine_probe=bool(exam.quine_mismatch_prefixes),
     )
-    battery = invariant_battery(minimized, cap=cap)
+    battery = invariant_battery(minimized)
     classification = "PAPER-CLAIM" if battery.passed else "IMPLEMENTATION-BUG"
 
     formula_models = mask_to_models(

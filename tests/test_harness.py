@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from inv3sat import Answer, CapExceeded, Cnf, ModelSet, harness, inverse, oracle_decide
+from inv3sat import Answer, Cnf, ModelSet, harness, inverse, oracle_decide
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -22,7 +22,6 @@ from inv3sat.harness import (
     render_summary,
     shrink,
 )
-from inv3sat.oracle import OracleVerdict
 
 from conftest import WORKED_MODELS, parity_models
 
@@ -238,32 +237,8 @@ class TestInvariantBattery:
         result = self._cover_with(monkeypatch, lambda stratum: stratum + (WORKED_MODELS[0],))
         assert result.failures == ("cover-exactness@00111",)
 
-    def test_battery_raises_past_its_cap(self):
-        with pytest.raises(CapExceeded):
-            invariant_battery(ModelSet(5, WORKED_MODELS), cap=4)
-
     def test_full_parity_set_passes(self):
         assert invariant_battery(parity_models()) == harness.BatteryResult(True, ())
-
-    def test_classify_hands_its_cap_to_the_battery(self, monkeypatch):
-        # an oracle that always reports a model nobody can find makes every
-        # instance disagree, so classify reaches the battery on a small core
-        caps = []
-        real = harness.invariant_battery
-
-        def lying_oracle(models, cap):
-            return OracleVerdict(("bogus",), 1 << models.n)
-
-        def spy(models, cap):
-            caps.append(cap)
-            return real(models, cap=cap)
-
-        monkeypatch.setattr(harness, "oracle_decide", lying_oracle)
-        monkeypatch.setattr(harness, "invariant_battery", spy)
-        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), cap=7)
-        report = classify(exam, 1, cap=7)
-        assert caps == [7]
-        assert report.kind == "answer-disagreement"
 
 
 class TestDifferentialRun:
