@@ -27,7 +27,7 @@ from .formats import (
     write_cover,
     write_dimacs,
 )
-from .formula import CapExceeded, Cnf, ENUMERATION_CAP, InputTooSmall
+from .formula import CapExceeded, Cnf, ENUMERATION_CAP, InputTooSmall, mask_to_models
 from .harness import (
     EXHAUSTIVE,
     GeneratorExhausted,
@@ -182,27 +182,28 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     models = read_models(Path(args.input).read_text())
     verdict = oracle_decide(models, cap=args.oracle_cap)
     yes = verdict.extra_model_exists()
-    shown = verdict.extra_models[:32]
+    count = verdict.extra_mask.bit_count()
+    shown = mask_to_models(verdict.extra_mask, models.n, 32)
     if args.json:
         payload = {
             "n": models.n,
             "checked_count": verdict.checked_count,
             "extra_model_exists": yes,
             "exactly_representable": not yes,
-            "extra_model_count": len(verdict.extra_models),
+            "extra_model_count": count,
             "extra_models": list(shown),
-            "extra_models_truncated": len(verdict.extra_models) > len(shown),
+            "extra_models_truncated": count > len(shown),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"n={models.n} checked={verdict.checked_count}")
         print(f"extra model exists: {'yes' if yes else 'no'}")
         print(f"input is the exact model set of a 3-CNF: {'no' if yes else 'yes'}")
-        print(f"extra models: {len(verdict.extra_models)}")
+        print(f"extra models: {count}")
         for m in shown:
             print(f"  {m}")
-        if len(verdict.extra_models) > len(shown):
-            print(f"  ... and {len(verdict.extra_models) - len(shown)} more")
+        if count > len(shown):
+            print(f"  ... and {count - len(shown)} more")
     return 0
 
 
@@ -291,6 +292,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seconds(value: str) -> float:
+    """A --timeout value: a finite number of seconds above 0."""
+    if not 0 < float(value) < float("inf"):  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"want a finite number of seconds above 0, got {value!r}")
+    return float(value)
+
+
 _FLAGS = {
     "--input": dict(required=True, help="model set file, one 0/1 assignment per line"),
     "--kmin": dict(type=int, default=None, help="shortest cover stratum, 1..4 (default 1)"),
@@ -299,7 +307,7 @@ _FLAGS = {
     "--oracle-cap": dict(type=int, default=ENUMERATION_CAP, help="variable cap for enumeration"),
     "--json": dict(action="store_true", help="JSON output on stdout"),
     "--verbose": dict(action="store_true", help="diagnostics on stderr"),
-    "--timeout": dict(type=float, default=None,
+    "--timeout": dict(type=_seconds, default=None,
                       help="deadline in seconds for the prefix walk, checked between probes; "
                            "the candidate and closure build is not interrupted"),
 }

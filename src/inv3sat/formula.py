@@ -220,12 +220,13 @@ def assignment_mask(models: Iterable[str]) -> int:
     return mask
 
 
-def mask_to_models(mask: int, n: int) -> tuple[str, ...]:
-    """Decode a truth-table mask into assignment strings, ascending."""
+def mask_to_models(mask: int, n: int, limit: int | None = None) -> tuple[str, ...]:
+    """Decode a truth-table mask into assignment strings, ascending; only
+    the first `limit` of them when a limit is given."""
     bits = format(mask, "b")  # one scan; bit 0 is the last digit
     out = []
     i = bits.rfind("1")
-    while i >= 0:
+    while i >= 0 and len(out) != limit:
         out.append(format(len(bits) - 1 - i, f"0{n}b"))
         i = bits.rfind("1", 0, i)
     return tuple(out)

@@ -202,8 +202,7 @@ def examine_instance(
 
     verdict = oracle_decide(models, cap=cap)
     oracle_yes = verdict.extra_model_exists()
-    extra_set = set(verdict.extra_models)
-    witness_ok = (not algo_yes) or (witness in extra_set)
+    witness_ok = not algo_yes or bool(verdict.extra_mask >> int(witness, 2) & 1)
     agree = error is None and algo_yes == oracle_yes and witness_ok
 
     alt_compared = alt_kmin is not None and 1 <= alt_kmin <= n and alt_kmin != kmin and error is None
@@ -243,7 +242,7 @@ def examine_instance(
         models=models.models,
         algo_answer=algo_answer if error is None else f"error ({error})",
         algo_witness=witness,
-        oracle_extra=len(verdict.extra_models),
+        oracle_extra=verdict.extra_mask.bit_count(),
         agree=agree,
         witness_ok=witness_ok,
         error=error,
@@ -430,9 +429,7 @@ def classify(
     battery = invariant_battery(minimized)
     classification = "PAPER-CLAIM" if battery.passed else "IMPLEMENTATION-BUG"
 
-    formula_models = mask_to_models(
-        satisfying_mask(candidate_formula(minimized)), minimized.n
-    )
+    formula_models = mask_to_models(satisfying_mask(candidate_formula(minimized)), minimized.n, 32)
     if exam.error is not None:
         kind = "pipeline-error"
         detail = exam.error
@@ -457,7 +454,7 @@ def classify(
         minimized_models=minimized.models,
         minimized_algorithm_answer=mini_exam.algo_answer,
         minimized_oracle_answer=_answer_word(mini_exam.oracle_extra > 0),
-        minimized_formula_models=formula_models[:32],
+        minimized_formula_models=formula_models,
         battery_failures=battery.failures,
         classification=classification,
     )

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 from .closure import (
     decode_mask,
@@ -108,11 +109,15 @@ def _closure(col: list[tuple[int, int]]) -> Cnf:
                         shown.append((ci, cj, lits, both))
                     elif ci and cj:
                         closed.append(lits)
-            for k in range(j + 1, n + 1):
-                for c, ck in enumerate(col[k - 1]):
-                    for ci, cj, lits, both in shown:
-                        if not both & ck and ci & ck and cj & ck:
-                            closed.append((*lits, -k if c else k))
+            for k, (ck0, ck1) in enumerate(col[j:], j + 1):
+                for ci, cj, lits, both in shown:
+                    # x holds the pattern's models with xk = 0 and both ^ x
+                    # the rest: one AND tells which extension, if either, is unshown
+                    x = both & ck0
+                    if not x and ci & ck0 and cj & ck0:
+                        closed.append((*lits, k))
+                    elif x == both and ci & ck1 and cj & ck1:
+                        closed.append((*lits, -k))
     return Cnf(n, frozenset(closed))
 
 
@@ -154,7 +159,7 @@ def _projections_occur(col: list[tuple[int, int]], assignment: str) -> bool:
             return False
         for j in range(k):
             both = picked[j] & ck
-            if not both or not all(both & ci for ci in picked[:j]):
+            if not both or not all(map(both.__and__, picked[:j])):
                 return False
     return True
 
@@ -178,27 +183,53 @@ class PrefixCover:
         return sum(len(s) for s in self.strata.values())
 
 
-def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
-    """Build all cover strata from kmin upward.
+class _Strata(Mapping):
+    """Cover strata kmin..n by length, each built the first time it is
+    read: stratum k flips the last bit of each length-k model prefix and
+    keeps the flips that no model starts with, in first-occurrence order
+    over the models."""
 
-    Stratum k flips the last bit of each length-k model prefix and keeps
-    the flips that no model starts with, in first-occurrence order over the
-    models; every assignment outside the model set extends exactly one
-    prefix over all strata.  kmin=1 covers the whole complement; a larger
-    kmin drops the shorter strata.
-    """
+    def __init__(self, models: ModelSet, kmin: int) -> None:
+        self._models, self._lengths, self._built = models, range(kmin, models.n + 1), {}
+
+    def __getitem__(self, k: int) -> tuple[str, ...]:
+        if k not in self._built:
+            if k not in self._lengths:
+                raise KeyError(k)
+            present = dict.fromkeys([m[:k] for m in self._models.models])  # ordered set
+            flips = (p[:-1] + ("1" if p[-1] == "0" else "0") for p in present)
+            # a list, not a generator: a tuple grown in place fragments the heap
+            self._built[k] = tuple([f for f in flips if f not in present])
+        return self._built[k]
+
+    def __iter__(self):
+        return iter(self._lengths)
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+
+def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
+    """The cover strata from kmin upward; every assignment outside the
+    model set extends exactly one prefix over all strata.  kmin=1 covers
+    the whole complement; a larger kmin drops the shorter strata."""
     if not 1 <= kmin <= models.n:
         raise ValueError(f"kmin {kmin} out of range 1..{models.n}")
-    strata = {}
-    for k in range(kmin, models.n + 1):
-        present = dict.fromkeys([m[:k] for m in models.models])  # ordered set
-        stratum = []
-        for p in present:
-            flipped = p[:-1] + ("1" if p[-1] == "0" else "0")
-            if flipped not in present:
-                stratum.append(flipped)
-        strata[k] = tuple(stratum)
-    return PrefixCover(models.n, kmin, strata)
+    return PrefixCover(models.n, kmin, _Strata(models, kmin))
+
+
+def _cover_size(models: ModelSet, kmin: int) -> int:
+    """The number of cover prefixes of length >= kmin, counted without
+    building a stratum.  Sorted, adjacent models share exactly d leading
+    bits once per length-d model prefix that both bits continue (a split),
+    and stratum d+1 holds the length-d model prefixes less the splits at d."""
+    keys = sorted(int(m, 2) for m in models.models)
+    splits = Counter(models.n - (a ^ b).bit_length() for a, b in zip(keys, keys[1:]))
+    sizes, present = [], 1
+    for d in range(models.n):
+        sizes.append(present - splits[d])
+        present += splits[d]
+    return sum(sizes[kmin - 1:])
 
 
 @dataclass(frozen=True)
@@ -224,6 +255,11 @@ class DecisionReport:
         return self.answer is Answer.NO_EXTRA_MODEL
 
 
+def _assign(clauses: set[Clause], lit: int) -> set[Clause]:
+    """The clauses left once lit is true: satisfied ones dropped, -lit struck out."""
+    return {c if -lit not in c else tuple(l for l in c if l != -lit) for c in clauses if lit not in c}
+
+
 def _unit_propagate(clauses: set[Clause], fixed: dict[int, int]) -> set[Clause] | None:
     """Propagate units in place of a search step; None signals a conflict."""
     current = clauses
@@ -238,14 +274,7 @@ def _unit_propagate(clauses: set[Clause], fixed: dict[int, int]) -> set[Clause] 
         if unit is None:
             return current
         fixed[abs(unit)] = 1 if unit > 0 else 0
-        reduced = set()
-        for c in current:
-            if unit in c:
-                continue
-            if -unit in c:
-                c = tuple(l for l in c if l != -unit)
-            reduced.add(c)
-        current = reduced
+        current = _assign(current, unit)
 
 
 def _search(clauses: set[Clause], fixed: dict[int, int]) -> dict[int, int] | None:
@@ -258,16 +287,7 @@ def _search(clauses: set[Clause], fixed: dict[int, int]) -> dict[int, int] | Non
     branch_var = min(abs(l) for c in after for l in c)
     for value in (0, 1):
         lit = branch_var if value == 1 else -branch_var
-        trial_fixed = dict(fixed)
-        trial_fixed[branch_var] = value
-        trial = set()
-        for c in after:
-            if lit in c:
-                continue
-            if -lit in c:
-                c = tuple(l for l in c if l != -lit)
-            trial.add(c)
-        result = _search(trial, trial_fixed)
+        result = _search(_assign(after, lit), {**fixed, branch_var: value})
         if result is not None:
             return result
     return None
@@ -312,9 +332,10 @@ class Analysis:
     columns, the closed candidate and its clause masks, and the kmin=1
     prefix cover.
 
-    `timings` holds the build time of steps 1 and 2.  `probes` memoises
-    `probe` per prefix: the saturated clause set and its counters, never
-    the restricted set that fed them.
+    `timings` holds the build time of steps 1 and 2; step 2 only sets up
+    the cover, whose strata are built in step 3 as a walk reaches them.
+    `probes` memoises `probe` per prefix: the saturated clause set and its
+    counters, never the restricted set that fed them.
     """
 
     models: ModelSet
@@ -327,7 +348,7 @@ class Analysis:
 
 
 def analyze(models: ModelSet) -> Analysis:
-    """Build the closed candidate formula in one bitset pass, then the cover.
+    """Build the closed candidate formula in one bitset pass, then set up the cover.
 
     The closure is computed directly as the subsumption-minimal clauses of
     width <= 3 that every model satisfies, which is exactly what bounded
@@ -378,8 +399,9 @@ def decide(
     """Decide whether the candidate formula has a model outside the set.
 
     Walks the analysis' cover prefixes of length >= kmin in canonical order
-    (shortest stratum first, construction order within a stratum) and stops
-    at the first prefix whose restricted closure lacks the empty clause;
+    (shortest stratum first, construction order within a stratum), building
+    a stratum only when the walk reaches it, and stops at the first prefix
+    whose restricted closure lacks the empty clause;
     the witness built there is checked against the definition of the
     candidate formula (every 3-projection of the witness occurs in some
     model, see `_projections_occur`) and against the model set before it
@@ -397,13 +419,13 @@ def decide(
     if not 1 <= kmin <= min(MAX_KMIN, models.n):
         raise ValueError(f"kmin {kmin} out of range 1..{min(MAX_KMIN, models.n)}")
     start = time.perf_counter()
-    strata = [analysis.cover.strata[k] for k in range(kmin, models.n + 1)]
+    strata = analysis.cover.strata
 
     member = models.member_set()
     trace: list[PrefixRecord] = []
     witness = None
     answer = Answer.NO_EXTRA_MODEL
-    for prefix in itertools.chain(*strata):
+    for prefix in itertools.chain.from_iterable(strata[k] for k in range(kmin, models.n + 1)):
         if deadline is not None and time.perf_counter() > deadline:
             raise TimeoutError("prefix walk exceeded its deadline")
         closed_masks = probe(analysis, prefix)[0]
@@ -424,7 +446,7 @@ def decide(
         witness=witness,
         kmin=kmin,
         n=models.n,
-        cover_size=sum(map(len, strata)),
+        cover_size=_cover_size(models, kmin),
         trace=tuple(trace),
         timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
     )

@@ -24,13 +24,19 @@ from .inverse import candidate_formula
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """extra_models lists every candidate-formula model outside the input set."""
+    """extra_mask has bit a set for every candidate-formula model a outside
+    the input set; extra_models decodes them all, ascending."""
 
-    extra_models: tuple[str, ...]
+    n: int
+    extra_mask: int
     checked_count: int
 
     def extra_model_exists(self) -> bool:
-        return bool(self.extra_models)
+        return bool(self.extra_mask)
+
+    @property
+    def extra_models(self) -> tuple[str, ...]:
+        return mask_to_models(self.extra_mask, self.n)
 
 
 def oracle_decide(models: ModelSet, cap: int = ENUMERATION_CAP) -> OracleVerdict:
@@ -45,7 +51,7 @@ def oracle_decide(models: ModelSet, cap: int = ENUMERATION_CAP) -> OracleVerdict
         # the candidate formula is satisfied by every input model by
         # construction; reaching this line means formula-core is broken
         raise AssertionError("input model falsifies the candidate formula")
-    return OracleVerdict(mask_to_models(sat & ~member, n), 1 << n)
+    return OracleVerdict(n, sat & ~member, 1 << n)
 
 
 def verify_witness(models: ModelSet, witness: str) -> bool:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from inv3sat import inverse
+from inv3sat import ModelSet, inverse, oracle_decide
 from inv3sat.cli import build_parser, main
 
 from conftest import STRATUM4_MODELS, WORKED_MODELS, parity_models
@@ -202,6 +206,25 @@ class TestOracleCommand:
         assert "extra model exists: yes" in out
         assert "00101" in out and "10111" in out
 
+    def test_shows_the_first_32_extra_models(self, capsys, tmp_path):
+        # the even assignments over seven variables show every pattern on
+        # every triple, so the candidate is empty and all 64 odd ones are
+        # extra models
+        even = ModelSet(7, tuple(format(a, "07b") for a in range(128) if a.bit_count() % 2 == 0))
+        path = tmp_path / "even.models"
+        path.write_text("\n".join(even.models) + "\n")
+        verdict = oracle_decide(even)
+        code, out, _ = run(capsys, "oracle", "--input", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["extra_model_count"] == len(verdict.extra_models) == 64
+        assert payload["extra_models"] == list(verdict.extra_models[:32])
+        assert payload["extra_models_truncated"]
+        code, out, _ = run(capsys, "oracle", "--input", str(path))
+        lines = out.splitlines()
+        assert lines[4:36] == [f"  {m}" for m in verdict.extra_models[:32]]
+        assert lines[36] == f"  ... and {len(verdict.extra_models) - 32} more"
+
     def test_cap_error_exits_2(self, capsys, worked_file):
         code, _, err = run(
             capsys, "oracle", "--input", worked_file, "--oracle-cap", "4"
@@ -241,6 +264,19 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["decide", "bench"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+    def test_timeout_must_be_finite_and_positive(self, capsys, worked_file, command, value):
+        # 0 and nan would turn the deadline off, a negative one would expire at once
+        rest = ["--input", worked_file] if command == "decide" else ["--n-values", "5", "--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *rest, f"--timeout={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert "--timeout: want a finite number of seconds above 0" in err
 
     def test_kmin_above_n_exits_2(self, capsys, worked_file):
         code, _, _ = run(capsys, "decide", "--input", worked_file, "--kmin", "9")
@@ -311,6 +347,17 @@ class TestRepeatedMain:
         assert first[6][0] == 2 and "unrecognized arguments: --verbose" in first[6][2]
         for _ in range(2):
             assert [once(argv) for argv in calls] == first
+
+
+class TestModuleEntryPoint:
+    def test_python_m_inv3sat_is_main(self, capsys, worked_file):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "inv3sat", "decide", "--input", worked_file],
+                              capture_output=True, text=True, env=env)
+        code, out, _ = run(capsys, "decide", "--input", worked_file)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert "witness: 10111" in out
 
 
 class TestFuzzCommand:

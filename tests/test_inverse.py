@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from inv3sat import inverse
 from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, satisfies_clause
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
-from inv3sat.inverse import _projections_occur, analyze, probe
+from inv3sat.inverse import MAX_KMIN, _projections_occur, analyze, probe
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -127,6 +128,17 @@ class TestClosedCandidate:
                 expect = three_limited_closure(candidate_formula(ms)).closed_formula
                 assert analyze(ms).closed == expect, ms.models
 
+    def test_dense_n14_to_n18_matches_resolution(self):
+        # few models over many variables: most triples close because the
+        # pair pattern's models all give the third variable one value
+        rng = random.Random(20261018)
+        for t in range(12):
+            n, m = 14 + t % 5, 3 + t % 4
+            models = tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m))
+            ms = ModelSet(n, models)
+            expect = three_limited_closure(candidate_formula(ms)).closed_formula
+            assert analyze(ms).closed == expect, ms.models
+
     def test_exhaustive_n3_matches_definition(self):
         for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
             assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms), ms.models
@@ -224,6 +236,31 @@ class TestPrefixCover:
         entries = cover.entries()
         assert len(entries) == len(set(entries))
         assert cover.total() == len(entries)
+
+
+class TestCoverSize:
+    # decide counts the cover from the sorted models' common prefixes and
+    # never builds a stratum the walk does not reach
+
+    def test_counted_size_is_the_built_size(self):
+        rng = random.Random(20261020)
+        for _ in range(3000):
+            n = rng.randint(3, 14)
+            m = rng.randint(1, min(1 << n, 40))
+            # sample draws the models in random order, not sorted
+            ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
+            for kmin in range(1, min(MAX_KMIN, n) + 1):
+                assert inverse._cover_size(ms, kmin) == prefix_cover(ms, kmin).total(), (ms.models, kmin)
+
+    def test_wide_walk_builds_strata_up_to_its_first_prefix(self):
+        rng = random.Random(20261021)
+        ms = ModelSet(40, tuple(format(a, "040b") for a in rng.sample(range(1 << 40), 100)))
+        analysis = analyze(ms)
+        report = decide(analysis, kmin=1)
+        assert report.answer is Answer.EXTRA_MODEL_EXISTS
+        first = len(report.trace[0].prefix)
+        assert sorted(analysis.cover.strata._built) == list(range(1, first + 1))
+        assert report.cover_size == prefix_cover(ms).total()
 
 
 class TestDecide:
