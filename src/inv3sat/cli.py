@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .formats import (
@@ -45,6 +46,7 @@ from .inverse import (
     Answer,
     ClosureTestFailed,
     WitnessExtractionFailed,
+    analyze,
     candidate_formula,
     decide,
     prefix_cover,
@@ -129,15 +131,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if kmin > models.n:
         raise InputFormatError(f"--kmin {kmin} exceeds n={models.n}")
     deadline = time.perf_counter() + args.timeout if args.timeout else None
-    report = decide(models, kmin=kmin, deadline=deadline)
+    analysis = analyze(models)
+    report = decide(analysis, kmin=kmin, deadline=deadline)
     yes = report.answer is Answer.EXTRA_MODEL_EXISTS
     if args.verbose:
         t = report.timings
+        width = Counter(map(len, analysis.closed.clauses))
         print(
             "timings: "
             f"step1={t['step1_candidate_closure']:.3f}s "
             f"step2={t['step2_prefix_cover']:.3f}s "
-            f"step3={t['step3_prefix_walk']:.3f}s",
+            f"step3={t['step3_prefix_walk']:.3f}s "
+            f"closed: units={width[1]} pairs={width[2]} triples={width[3]}",
             file=sys.stderr,
         )
     if args.json:

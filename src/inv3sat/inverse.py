@@ -16,11 +16,20 @@ The candidate's closure is exactly the set of minimal clauses of width
 <= 3 that every model satisfies, so `analyze` reads it off per-variable
 model bitsets without building the raw candidate; `candidate_formula`
 builds the raw candidate from the same bitsets for the oracle and the CLI.
-The same bitsets test a witness (it must show no projection onto three
-variables that no model shows) and refute, without resolution, a prefix
-that shows one: it falsifies a closed clause outright.  `analyze` also
-builds the instance's one prefix cover, which every walk shares, and
-`three_limited_closure` stays step 1's test reference.
+Triples are read in packed lanes: one big int holds a lane per (variable,
+value), each with a guard bit on top, and one add and one AND find, for a
+shown pair pattern, every later variable whose extension no lane model
+shows.  The lanes hold at most LANE_MODELS models, a fixed sample past
+that, so they only filter and the full columns confirm every clause they
+propose: a pattern no model shows is not shown by a sample either.
+Uncapped lanes are as wide as the model count, and every lane operation
+then costs more than the per-variable ANDs they replace.
+The plain bitsets, not the lanes, test a witness (it must show no
+projection onto three variables that no model shows) and refute, without
+resolution, a prefix that shows one: it falsifies a closed clause
+outright.  `analyze` also builds the instance's one prefix cover, which
+every walk shares, and `three_limited_closure` stays step 1's test
+reference.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -72,21 +81,38 @@ class Answer(Enum):
     NO_EXTRA_MODEL = "no-extra-model"
 
 
+# a lane holds at most this many models: past it, a fixed scattered sample
+LANE_MODELS = 64
+
+
+def _bitsets(rows: Sequence[str]) -> list[tuple[int, int]]:
+    """`(zeros, ones)` per variable over the given rows, the first row in the top bit."""
+    full = (1 << len(rows)) - 1
+    out = []
+    for bits in zip(*rows):
+        ones = int("".join(bits), 2)
+        out.append((full ^ ones, ones))
+    return out
+
+
 def _columns(models: ModelSet) -> list[tuple[int, int]]:
-    """Per-variable model bitsets: `col[v][b]` has bit r set when model r
-    gives variable v+1 the value b, so whether some model shows a sign
-    pattern on up to three variables is an AND of their columns."""
+    """Per-variable model bitsets: `col[v][b]` has model r's bit set when
+    that model gives variable v+1 the value b, so whether some model shows a
+    sign pattern on up to three variables is an AND of their columns."""
     if models.n < 3:
         raise InputTooSmall(f"need at least 3 variables, got {models.n}")
-    full = (1 << len(models)) - 1
-    col = []
-    for v in range(models.n):
-        ones = int("".join(m[v] for m in models.models), 2)
-        col.append((full ^ ones, ones))
-    return col
+    return _bitsets(models.models)
 
 
-def _closure(col: list[tuple[int, int]]) -> Cnf:
+def _lane_rows(models: ModelSet) -> Sequence[str]:
+    """The models the lanes hold: all of them up to LANE_MODELS, else models
+    t * 2654435761 mod m for t < LANE_MODELS (distinct, since that
+    multiplier is a prime above any m here)."""
+    rows, m = models.models, len(models)
+    return rows if m <= LANE_MODELS else [rows[t * 2654435761 % m] for t in range(LANE_MODELS)]
+
+
+def _closure(models: ModelSet, col: list[tuple[int, int]]) -> Cnf:
     """The 3-limited closure of the candidate, read off the columns.
 
     A clause of width <= 3 is in the closure when no model shows its
@@ -95,29 +121,69 @@ def _closure(col: list[tuple[int, int]]) -> Cnf:
     neither is 0, a triple when its three columns AND to 0 and its three
     pairwise ANDs are all nonzero.  So a pair pattern no model shows adds
     its pair and nothing else.
+
+    Triples are found in lanes.  One big int holds a lane of s + 1 bits per
+    (variable k, value c), the last variable in lanes 0 and 1: the s lane
+    models' bits for xk = c under a guard bit that stays 0.  `rep` has a 1
+    at the bottom of every lane, so `column * rep` copies a column into
+    every lane, and adding `lows` (2^s - 1 in every lane) carries into a
+    lane's guard bit exactly when the lane is nonzero, never further.  For
+    a shown pair pattern xi = a, xj = b, `later[j][b] & spread[i][a]` holds
+    in lane (k, c) the lane models that show xi = a, xj = b, xk = c, for
+    every k after j at once, so one add and one AND with `g` leave a 0
+    guard bit on each lane that is empty although both pairs with xk = c
+    occur.  `g` ANDs two masks of `pairs`, the guard bits of the lanes
+    (k, c) after v whose pair with xv = value occurs.  A sample could miss
+    a pair and drop a lane that closes a triple, so these masks come from
+    the full columns, which the pair loop ANDs anyway: it walks i and j
+    downward, so pairs (i, k) and (j, k) with k after j are recorded before
+    (i, j) reads them, and the last variable's masks stay 0.
+
+    The lanes hold at most LANE_MODELS models (`_lane_rows`), so they only
+    filter: a pattern no model shows is not shown by the sample either,
+    and each empty lane is confirmed by one AND of the full columns.
     """
-    n = len(col)
+    n, rows = len(col), _lane_rows(models)
+    s, w = len(rows), len(rows) + 1
+    lane = col if s == len(models) else _bitsets(rows)
+    rep = ((1 << 2 * n * w) - 1) // ((1 << w) - 1)
+    lows = rep * ((1 << s) - 1)
+    packed = 0
+    for zeros, ones in lane:
+        packed = (packed << w | ones) << w | zeros
+    spread = [(zeros * rep, ones * rep) for zeros, ones in lane]
+    later, below = [], []
+    for j, (z, o) in enumerate(spread):
+        cut = (1 << 2 * (n - 1 - j) * w) - 1  # the lanes of x(j+2)..xn
+        later.append((packed & cut & z, packed & cut & o))
+        below.append(lows & cut)
+    # lane (k, c) sits at 2 * (n - k) + c for the 1-based k: its full column and the literal it adds
+    by_lane = [(col[n - 1 - l // 2][l & 1], -(n - l // 2) if l & 1 else n - l // 2) for l in range(2 * n)]
+    guard = [(1 << (2 * (n - 1 - v) * w + s), 1 << ((2 * (n - 1 - v) + 1) * w + s)) for v in range(n)]
+    pairs = [[0, 0] for _ in range(n)]
     closed = [(-v if b else v,) for v in range(1, n + 1) for b in (0, 1) if not col[v - 1][b]]
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            shown = []
-            for a, ci in enumerate(col[i - 1]):
-                for b, cj in enumerate(col[j - 1]):
+    for i in range(n - 2, -1, -1):
+        ri, pi = spread[i], pairs[i]
+        for j in range(n - 1, i, -1):
+            dj, pj, low, gj = later[j], pairs[j], below[j], guard[j]
+            for a, ci in enumerate(col[i]):
+                ra, pa = ri[a], pi[a]  # lane j, added to pi[a] below, is no lane of pj[b]
+                for b, cj in enumerate(col[j]):
                     both = ci & cj
-                    lits = (-i if a else i, -j if b else j)
-                    if both:
-                        shown.append((ci, cj, lits, both))
-                    elif ci and cj:
-                        closed.append(lits)
-            for k, (ck0, ck1) in enumerate(col[j:], j + 1):
-                for ci, cj, lits, both in shown:
-                    # x holds the pattern's models with xk = 0 and both ^ x
-                    # the rest: one AND tells which extension, if either, is unshown
-                    x = both & ck0
-                    if not x and ci & ck0 and cj & ck0:
-                        closed.append((*lits, k))
-                    elif x == both and ci & ck1 and cj & ck1:
-                        closed.append((*lits, -k))
+                    if not both:
+                        if ci and cj:
+                            closed.append((-1 - i if a else i + 1, -1 - j if b else j + 1))
+                        continue
+                    g = pa & pj[b]
+                    if g:
+                        empty = g ^ (((dj[b] & ra) + low) & g)
+                        while empty:
+                            bit = empty & -empty
+                            empty ^= bit
+                            ck, lit = by_lane[bit.bit_length() // w - 1]
+                            if not both & ck:
+                                closed.append((-1 - i if a else i + 1, -1 - j if b else j + 1, lit))
+                    pi[a] |= gj[b]
     return Cnf(n, frozenset(closed))
 
 
@@ -358,7 +424,7 @@ def analyze(models: ModelSet) -> Analysis:
     """
     start = time.perf_counter()
     columns = _columns(models)
-    closed = _closure(columns)
+    closed = _closure(models, columns)
     masks = tuple(encode_clause(c) for c in closed.clauses)
     built = time.perf_counter()
     cover = prefix_cover(models, 1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from inv3sat import ModelSet, cnf_of
@@ -125,3 +127,20 @@ def parity_models():
             if all((a & mask).bit_count() % 2 == r for mask, r in rows)
         ),
     )
+
+
+def affine_models(n, d, seed):
+    """The 2^d points of an affine GF(2) subspace over x1..xn, in counting
+    order: x1..xd run through every value and each later variable is the
+    XOR of two earlier ones (a constant when the two coincide) plus a
+    random bit, so the set satisfies n - d parity equations on at most
+    three variables."""
+    rng = random.Random(f"affine/{n}/{d}/{seed}")
+    deps = [(rng.randrange(k), rng.randrange(k), rng.getrandbits(1)) for k in range(d, n)]
+    rows = []
+    for t in range(1 << d):
+        x = [(t >> (d - 1 - v)) & 1 for v in range(d)]
+        for a, b, c in deps:
+            x.append(x[a] ^ x[b] ^ c)
+        rows.append("".join(map(str, x)))
+    return ModelSet(n, tuple(rows))

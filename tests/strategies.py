@@ -41,7 +41,7 @@ def assignments(n):
     )
 
 
-def model_sets(n, max_models=12):
+def model_sets(n, max_models=12, min_models=1):
     return st.lists(
-        assignments(n), min_size=1, max_size=max_models, unique=True
+        assignments(n), min_size=min_models, max_size=max_models, unique=True
     ).map(lambda ms: ModelSet(n, tuple(ms)))

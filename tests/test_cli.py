@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,19 @@ class TestDecideCommand:
         _, first, _ = run(capsys, "decide", "--input", worked_file)
         _, second, _ = run(capsys, "decide", "--input", worked_file)
         assert first == second
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_verbose_counts_closed_clauses_on_stderr_only(self, capsys, tmp_path, json_flag):
+        # a constant first variable adds a unit to the worked closure's pairs and triples
+        ms = ModelSet(6, tuple("1" + m for m in WORKED_MODELS))
+        path = tmp_path / "phi.models"
+        path.write_text("\n".join(ms.models) + "\n")
+        _, plain, quiet = run(capsys, "decide", "--input", str(path), *json_flag)
+        code, out, err = run(capsys, "decide", "--input", str(path), "--verbose", *json_flag)
+        assert code == 0 and out == plain and quiet == ""
+        counts = re.fullmatch(r"timings: .* closed: units=(\d+) pairs=(\d+) triples=(\d+)\n", err)
+        width = Counter(map(len, inverse.analyze(ms).closed.clauses))
+        assert tuple(map(int, counts.groups())) == (width[1], width[2], width[3]) == (1, 3, 4)
 
     def test_no_answer_phrasing(self, capsys, tmp_path):
         path = tmp_path / "full.models"

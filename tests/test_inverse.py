@@ -37,6 +37,7 @@ from conftest import (
     PARITY_EQUATIONS,
     STRATUM4_MODELS,
     STRATUM4_WITNESS,
+    affine_models,
     parity_models,
 )
 from strategies import model_sets
@@ -113,20 +114,32 @@ def _minimal_satisfied_clauses(ms):
     return out
 
 
+def _assert_closure_is_resolution(ms):
+    expect = three_limited_closure(candidate_formula(ms)).closed_formula
+    assert analyze(ms).closed == expect, ms.models
+
+
+def _biased_models(rng, n, m, one):
+    """m distinct assignments whose bits are 1 with probability `one`, so
+    that some patterns with two or three 0s stay unshown."""
+    picks = {}
+    while len(picks) < m:
+        picks[sum((rng.random() < one) << v for v in range(n))] = None
+    return ModelSet(n, tuple(format(a, f"0{n}b") for a in picks))
+
+
 class TestClosedCandidate:
     # analyze builds the closure straight from the model bitsets; bounded
     # resolution over the candidate is the independent reference.
 
     def test_exhaustive_n3_matches_resolution(self):
         for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
-            expect = three_limited_closure(candidate_formula(ms)).closed_formula
-            assert analyze(ms).closed == expect, ms.models
+            _assert_closure_is_resolution(ms)
 
     def test_random_n4_to_n9_matches_resolution(self):
         for n in range(4, 10):
             for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=167, seed=20261019)):
-                expect = three_limited_closure(candidate_formula(ms)).closed_formula
-                assert analyze(ms).closed == expect, ms.models
+                _assert_closure_is_resolution(ms)
 
     def test_dense_n14_to_n18_matches_resolution(self):
         # few models over many variables: most triples close because the
@@ -135,9 +148,54 @@ class TestClosedCandidate:
         for t in range(12):
             n, m = 14 + t % 5, 3 + t % 4
             models = tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m))
-            ms = ModelSet(n, models)
-            expect = three_limited_closure(candidate_formula(ms)).closed_formula
-            assert analyze(ms).closed == expect, ms.models
+            _assert_closure_is_resolution(ModelSet(n, models))
+
+    # Past LANE_MODELS models the lanes hold a sample, which only filters:
+    # the sets below cross that boundary.
+
+    @pytest.mark.parametrize("m", [63, 64, 65])
+    def test_lane_boundary_matches_resolution(self, m):
+        rng = random.Random(20261019 + m)
+        for n in (12, 20):
+            _assert_closure_is_resolution(_biased_models(rng, n, m, 0.8))
+
+    @pytest.mark.parametrize("n, m, one", [(40, 100, 0.8), (32, 300, 0.8), (24, 1000, 0.9), (40, 1000, 0.5)])
+    def test_many_models_match_resolution(self, n, m, one):
+        _assert_closure_is_resolution(_biased_models(random.Random(n * m), n, m, one))
+
+    @pytest.mark.parametrize("n, d", [(24, 9), (30, 10)])
+    def test_affine_sets_match_resolution(self, n, d):
+        ms = affine_models(n, d, seed=1)
+        expect = three_limited_closure(candidate_formula(ms)).closed_formula
+        assert len(ms) == 1 << d
+        assert {len(c) for c in expect.clauses} >= {2, 3}
+        assert analyze(ms).closed == expect
+        assert analyze(ModelSet(n, ms.models[::-1])).closed == expect
+
+    def test_rare_pair_off_the_lane_sample(self):
+        # x1 = x2 = 1 only in three models the lanes do not hold, so every
+        # lane of that pair pattern reads empty: the full columns must keep
+        # the one triple it closes, -1 -2 -4, and drop the false ones on x3
+        m, n = 100, 8
+        held = {t * 2654435761 % m for t in range(inverse.LANE_MODELS)}
+        rare = [r for r in range(m) if r not in held][:3]
+        rng = random.Random(20261019)
+        rows = [None] * m
+        for t, (r, x3) in enumerate(zip(rare, "010")):
+            rows[r] = f"11{x3}0{t:04b}"
+        seen = set(rows)
+        for r in range(m):
+            while rows[r] is None:
+                row = format(rng.getrandbits(n), f"0{n}b")
+                if not row.startswith("11") and row not in seen:
+                    rows[r] = row
+                    seen.add(row)
+        ms = ModelSet(n, tuple(rows))
+        assert not any(row.startswith("11") for row in inverse._lane_rows(ms))
+        closed = analyze(ms).closed.clauses
+        assert (-1, -2, -4) in closed
+        assert (-1, -2, 3) not in closed and (-1, -2, -3) not in closed
+        _assert_closure_is_resolution(ms)
 
     def test_exhaustive_n3_matches_definition(self):
         for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
@@ -146,6 +204,11 @@ class TestClosedCandidate:
     @given(st.integers(min_value=3, max_value=7).flatmap(model_sets))
     @settings(max_examples=200, deadline=None)
     def test_matches_definition(self, ms):
+        assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms)
+
+    @given(st.integers(min_value=7, max_value=8).flatmap(lambda n: model_sets(n, max_models=100, min_models=40)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_definition_past_the_lanes(self, ms):
         assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms)
 
 
