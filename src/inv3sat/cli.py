@@ -132,19 +132,23 @@ def cmd_decide(args: argparse.Namespace) -> int:
         raise InputFormatError(f"--kmin {kmin} exceeds n={models.n}")
     deadline = time.perf_counter() + args.timeout if args.timeout else None
     analysis = analyze(models)
-    report = decide(analysis, kmin=kmin, deadline=deadline)
+    start = time.perf_counter()
+    try:
+        report = decide(analysis, kmin=kmin, deadline=deadline)
+    finally:
+        # also when the walk raises (exit 3, an expired --timeout): those runs need explaining most
+        if args.verbose:
+            t = analysis.timings
+            width = Counter(map(len, analysis.closed.clauses))
+            print(
+                "timings: "
+                f"step1={t['step1_candidate_closure']:.3f}s "
+                f"step2={t['step2_prefix_cover']:.3f}s "
+                f"step3={time.perf_counter() - start:.3f}s "
+                f"closed: units={width[1]} pairs={width[2]} triples={width[3]}",
+                file=sys.stderr,
+            )
     yes = report.answer is Answer.EXTRA_MODEL_EXISTS
-    if args.verbose:
-        t = report.timings
-        width = Counter(map(len, analysis.closed.clauses))
-        print(
-            "timings: "
-            f"step1={t['step1_candidate_closure']:.3f}s "
-            f"step2={t['step2_prefix_cover']:.3f}s "
-            f"step3={t['step3_prefix_walk']:.3f}s "
-            f"closed: units={width[1]} pairs={width[2]} triples={width[3]}",
-            file=sys.stderr,
-        )
     if args.json:
         payload = {
             "n": report.n,

@@ -197,7 +197,7 @@ def examine_instance(
         algo_answer = report.answer.value
         witness = report.witness
         algo_yes = report.answer is Answer.EXTRA_MODEL_EXISTS
-    except (WitnessExtractionFailed, TimeoutError) as exc:
+    except WitnessExtractionFailed as exc:
         error = f"{type(exc).__name__}: {exc}"
 
     verdict = oracle_decide(models, cap=cap)
@@ -353,8 +353,9 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
         failures.append("closure-model-preservation")
 
     masks = [encode_clause(c) for c in closed.clauses]
-    cover = prefix_cover(models, 1)
-    for prefix in cover.entries():
+    # the prefixes actually walked: total() counts from the models alone
+    cover = prefix_cover(models, 1).entries()
+    for prefix in cover:
         tm, fm = prefix_literal_masks(prefix)
         restricted = restrict_mask_clauses(masks, tm, fm)
         k = len(prefix)
@@ -365,10 +366,10 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
             failures.append(f"restriction-semantics@{prefix}")
             break
 
-    if cover.total() > n * len(models.models):
+    if len(cover) > n * len(models.models):
         failures.append("cover-size-bound")
     covered = 0
-    for prefix in cover.entries():
+    for prefix in cover:
         free = n - len(prefix)
         covered |= ((1 << (1 << free)) - 1) << (int(prefix, 2) << free)
     # an assignment is wrong when it is both covered and a model, or neither

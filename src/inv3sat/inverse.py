@@ -10,7 +10,9 @@ resolution, walking a prefix cover of the complement of phi, and testing
 each restricted closure for the empty clause.  A restriction whose closure
 stays empty-clause-free yields a witness assignment, which is checked
 against the candidate's definition (each of its 3-projections occurs in
-phi) before being reported.
+phi) before being reported.  The witness search runs on the saturated
+restriction, as clause masks, depth first on an explicit stack, and
+returns the least extension of the prefix.
 
 The candidate's closure is exactly the set of minimal clauses of width
 <= 3 that every model satisfies, so `analyze` reads it off per-variable
@@ -38,10 +40,11 @@ import itertools
 import time
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .closure import (
+    _positive_slots,
     decode_mask,
     encode_clause,
     prefix_literal_masks,
@@ -54,8 +57,6 @@ from .formula import (
     InputTooSmall,
     ModelSet,
     clause_sort_key,
-    prefix_bindings,
-    restrict_clause,
 )
 
 class WitnessExtractionFailed(RuntimeError):
@@ -232,11 +233,12 @@ def _projections_occur(col: list[tuple[int, int]], assignment: str) -> bool:
 
 @dataclass(frozen=True)
 class PrefixCover:
-    """Strata of complement-covering prefixes, from kmin up to n."""
+    """Strata of complement-covering prefixes of `models`, from kmin up to n."""
 
     n: int
     kmin: int
     strata: Mapping[int, tuple[str, ...]]
+    models: ModelSet = field(repr=False, compare=False)
 
     def entries(self) -> tuple[str, ...]:
         """All prefixes, shortest stratum first, construction order within."""
@@ -246,7 +248,17 @@ class PrefixCover:
         return tuple(out)
 
     def total(self) -> int:
-        return sum(len(s) for s in self.strata.values())
+        """The number of prefixes, counted without building a stratum.
+        Sorted, adjacent models share exactly d leading bits once per
+        length-d model prefix that both bits continue (a split), and stratum
+        d+1 holds the length-d model prefixes less the splits at d."""
+        keys = sorted(int(m, 2) for m in self.models.models)
+        splits = Counter(self.n - (a ^ b).bit_length() for a, b in zip(keys, keys[1:]))
+        sizes, present = [], 1
+        for d in range(self.n):
+            sizes.append(present - splits[d])
+            present += splits[d]
+        return sum(sizes[self.kmin - 1:])
 
 
 class _Strata(Mapping):
@@ -281,21 +293,7 @@ def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
     the whole complement; a larger kmin drops the shorter strata."""
     if not 1 <= kmin <= models.n:
         raise ValueError(f"kmin {kmin} out of range 1..{models.n}")
-    return PrefixCover(models.n, kmin, _Strata(models, kmin))
-
-
-def _cover_size(models: ModelSet, kmin: int) -> int:
-    """The number of cover prefixes of length >= kmin, counted without
-    building a stratum.  Sorted, adjacent models share exactly d leading
-    bits once per length-d model prefix that both bits continue (a split),
-    and stratum d+1 holds the length-d model prefixes less the splits at d."""
-    keys = sorted(int(m, 2) for m in models.models)
-    splits = Counter(models.n - (a ^ b).bit_length() for a, b in zip(keys, keys[1:]))
-    sizes, present = [], 1
-    for d in range(models.n):
-        sizes.append(present - splits[d])
-        present += splits[d]
-    return sum(sizes[kmin - 1:])
+    return PrefixCover(models.n, kmin, _Strata(models, kmin), models)
 
 
 @dataclass(frozen=True)
@@ -321,67 +319,41 @@ class DecisionReport:
         return self.answer is Answer.NO_EXTRA_MODEL
 
 
-def _assign(clauses: set[Clause], lit: int) -> set[Clause]:
-    """The clauses left once lit is true: satisfied ones dropped, -lit struck out."""
-    return {c if -lit not in c else tuple(l for l in c if l != -lit) for c in clauses if lit not in c}
-
-
-def _unit_propagate(clauses: set[Clause], fixed: dict[int, int]) -> set[Clause] | None:
-    """Propagate units in place of a search step; None signals a conflict."""
-    current = clauses
-    while True:
-        unit = None
-        for c in current:
-            if not c:
-                return None
-            if len(c) == 1:
-                unit = c[0]
-                break
-        if unit is None:
-            return current
-        fixed[abs(unit)] = 1 if unit > 0 else 0
-        current = _assign(current, unit)
-
-
-def _search(clauses: set[Clause], fixed: dict[int, int]) -> dict[int, int] | None:
-    """Backtracking with unit propagation; branches lowest variable, 0 first."""
-    after = _unit_propagate(clauses, fixed)
-    if after is None:
-        return None
-    if not after:
-        return fixed
-    branch_var = min(abs(l) for c in after for l in c)
-    for value in (0, 1):
-        lit = branch_var if value == 1 else -branch_var
-        result = _search(_assign(after, lit), {**fixed, branch_var: value})
-        if result is not None:
-            return result
-    return None
-
-
 def extract_witness(formula: Cnf, prefix: str) -> str:
-    """Extend a prefix to a full model of the formula.
+    """Extend a prefix to the least full model of the formula, read as a
+    binary number.
 
-    The suffix search assigns remaining variables in ascending order trying
-    0 before 1, so ties break the same way every run.  Exhausting the
-    search raises ClosureTestFailed.
+    The search runs depth first on clause masks, on an explicit stack, so
+    its depth is not bounded by the recursion limit.  It sets every unit
+    true, then tries the lowest variable left at 0 before 1; a variable in
+    no clause stays 0.  Units hold in every model, so the first model found
+    is the least one.  Exhausting the search raises ClosureTestFailed.
     """
     n = formula.num_vars
-    k = len(prefix)
-    bindings = prefix_bindings(prefix)
-    restricted = set()
-    for clause in formula.clauses:
-        r = restrict_clause(clause, bindings)
-        if r is not None:
-            restricted.add(r)
-    fixed: dict[int, int] = {}
-    solution = _search(restricted, fixed)
-    if solution is None:
-        raise ClosureTestFailed(
-            f"prefix {prefix}: restricted closure had no empty clause but no extension satisfies it"
-        )
-    suffix = "".join(str(solution.get(v, 0)) for v in range(k + 1, n + 1))
-    return prefix + suffix
+    positives = _positive_slots(n)
+    true_mask, false_mask = prefix_literal_masks(prefix)
+    restricted = restrict_mask_clauses(map(encode_clause, formula.clauses), true_mask, false_mask)
+    # each entry: a clause set, the literals true so far, one literal to set true first
+    stack = [(restricted, true_mask, 0)]
+    while stack:
+        clauses, true, lit = stack.pop()
+        true |= lit
+        false = (lit & positives) << 1 | (lit >> 1) & positives
+        clauses = {c & ~false for c in clauses if not c & lit}
+        if 0 in clauses:
+            continue
+        if not clauses:
+            return "".join("1" if true >> 2 * v & 1 else "0" for v in range(n))
+        unit = next((c for c in clauses if not c & (c - 1)), 0)
+        if unit:
+            stack.append((clauses, true, unit))
+        else:
+            low = min(c & -c for c in clauses)
+            pos = low & positives or low >> 1
+            stack += [(clauses, true, pos), (clauses, true, pos << 1)]  # 0 is popped first
+    raise ClosureTestFailed(
+        f"prefix {prefix}: restricted closure had no empty clause but no extension satisfies it"
+    )
 
 
 # what saturate_masks returns on a clause set that holds the empty clause
@@ -499,7 +471,8 @@ def decide(
         empty = 0 in closed_masks
         trace.append(PrefixRecord(prefix, len(closed_masks), empty, clauses))
         if not empty:
-            witness = extract_witness(analysis.closed, prefix)
+            # saturation keeps the restriction's models, so this is the witness of analysis.closed
+            witness = extract_witness(Cnf(models.n, frozenset(clauses)), prefix)
             if witness in member or not _projections_occur(analysis.columns, witness):
                 raise WitnessExtractionFailed(
                     f"witness {witness} for prefix {prefix} failed verification"
@@ -512,7 +485,7 @@ def decide(
         witness=witness,
         kmin=kmin,
         n=models.n,
-        cover_size=_cover_size(models, kmin),
+        cover_size=replace(analysis.cover, kmin=kmin).total(),  # the analysis' cover starts at 1
         trace=tuple(trace),
         timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
     )

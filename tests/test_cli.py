@@ -314,16 +314,30 @@ class TestErrorPaths:
             main(["no-such-command"])
 
 
+@pytest.fixture
+def parity_file(tmp_path):
+    path = tmp_path / "parity.models"
+    path.write_text("\n".join(parity_models().models) + "\n")
+    return str(path)
+
+
 class TestExitThree:
-    def test_closure_test_failure_says_the_method_failed(self, capsys, tmp_path):
-        path = tmp_path / "parity.models"
-        path.write_text("\n".join(parity_models().models) + "\n")
-        code, out, err = run(capsys, "decide", "--input", str(path))
+    def test_closure_test_failure_says_the_method_failed(self, capsys, parity_file):
+        code, out, err = run(capsys, "decide", "--input", parity_file)
         assert code == 3
         assert out == ""
         assert err.startswith("paper method failed: ")
         assert "prefix 0001:" in err
         assert "internal inconsistency" not in err
+
+    def test_verbose_explains_the_failed_run(self, capsys, parity_file):
+        code, out, err = run(capsys, "decide", "--input", parity_file, "--verbose")
+        assert code == 3
+        assert out == ""
+        timings, failed = err.splitlines()
+        assert re.fullmatch(r"timings: step1=\S+s step2=\S+s step3=\S+s "
+                            r"closed: units=0 pairs=0 triples=32", timings)
+        assert failed.startswith("paper method failed: ")
 
     def test_failed_verification_is_an_internal_inconsistency(self, capsys, worked_file, monkeypatch):
         monkeypatch.setattr(inverse, "extract_witness", lambda formula, prefix: "00000")

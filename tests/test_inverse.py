@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from inv3sat import (
 )
 from inv3sat import inverse
 from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
-from inv3sat.formula import InputTooSmall, satisfies_clause
+from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
 from inv3sat.inverse import MAX_KMIN, _projections_occur, analyze, probe
 
@@ -40,7 +41,7 @@ from conftest import (
     affine_models,
     parity_models,
 )
-from strategies import model_sets
+from strategies import assignments, formulas, model_sets
 
 
 class TestCandidateFormula:
@@ -313,7 +314,8 @@ class TestCoverSize:
             # sample draws the models in random order, not sorted
             ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
             for kmin in range(1, min(MAX_KMIN, n) + 1):
-                assert inverse._cover_size(ms, kmin) == prefix_cover(ms, kmin).total(), (ms.models, kmin)
+                cover = prefix_cover(ms, kmin)
+                assert cover.total() == len(cover.entries()), (ms.models, kmin)
 
     def test_wide_walk_builds_strata_up_to_its_first_prefix(self):
         rng = random.Random(20261021)
@@ -467,6 +469,41 @@ class TestExtractWitness:
         f = cnf_of(3, [(1,)])
         with pytest.raises(WitnessExtractionFailed):
             extract_witness(f, "0")
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(formulas(n, max_clauses=3 * n), st.integers(1, n).flatmap(assignments))))
+    @settings(max_examples=200, deadline=None)
+    def test_witness_is_the_least_extension(self, case):
+        f, prefix = case
+        n, free = f.num_vars, f.num_vars - len(prefix)
+        window = prefix_window(satisfying_mask(f), prefix, n)
+        if not window:
+            with pytest.raises(ClosureTestFailed):
+                extract_witness(f, prefix)
+        else:
+            least = (int(prefix, 2) << free) + (window & -window).bit_length() - 1
+            assert extract_witness(f, prefix) == format(least, f"0{n}b")
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # each pair clause turns into a unit once its first variable is 0,
+        # so the search goes 800 levels deep
+        f = cnf_of(800, [(2 * i - 1, 2 * i) for i in range(1, 401)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            assert extract_witness(f, "") == "01" * 400
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @given(st.integers(min_value=3, max_value=8).flatmap(model_sets))
+    @settings(max_examples=200, deadline=None)
+    def test_decide_witness_is_the_closed_formulas(self, ms):
+        # decide searches the saturated restriction, which keeps the models
+        # of the restriction of the whole closed formula
+        analysis = analyze(ms)
+        report = decide(analysis)
+        if report.witness is not None:
+            assert report.witness == extract_witness(analysis.closed, report.trace[-1].prefix)
 
     @given(model_sets(5), st.integers(min_value=0, max_value=31))
     @settings(max_examples=200, deadline=None)
