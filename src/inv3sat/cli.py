@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -231,8 +232,9 @@ def _parse_pair(value: str, flag: str) -> tuple[int, int]:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     kmin = _kmin(args)
-    if args.jobs < 1:
-        raise InputFormatError("--jobs must be at least 1")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputFormatError(f"--jobs must lie in 1..{cpus}, the CPU count")
     if args.closedness_sample < 0:
         raise InputFormatError("--closedness-sample must be at least 0")
     specs: list[InstanceSpec] = []
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fuzz", help="differential campaign against the oracle")
     _add_flags(p, "--kmin", "--paper-mode", "--seed", "--oracle-cap", "--json")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the campaign")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
     p.add_argument("--exhaustive", type=int, action="append", metavar="N",
                    help="exhaustive sweep over all nonempty model sets of n variables")
     p.add_argument("--random", action="append", metavar="N:COUNT",

@@ -44,7 +44,7 @@ from .inverse import (
     candidate_formula,
     decide,
     prefix_cover,
-    probe,
+    walk,
 )
 from .oracle import oracle_decide
 
@@ -174,19 +174,21 @@ def examine_instance(
     models: ModelSet,
     kmin: int = 1,
     cap: int = ENUMERATION_CAP,
-    alt_kmin: int | None = None,
     quine_probe: bool = False,
     closedness_stats: bool = False,
 ) -> Examination:
     """Run pipeline and oracle on one instance and compare.
 
-    Optional instruments: alt_kmin re-answers with a different cover floor
-    to spot strata the shorter cover misses; quine_probe checks, for every
+    kmin is clamped to n, and the other cover floor (4 for kmin=1, else 1)
+    re-answers when n reaches it, to spot strata the shorter cover misses.
+    Optional instruments, both over `walk`: quine_probe checks, for every
     cover prefix, that the restricted closure's empty-clause flag matches
-    brute-force satisfiability of the restriction; closedness_stats counts
-    how many restrictions were already closed before saturation.
+    satisfiability of the restriction in the oracle's truth table;
+    closedness_stats counts restrictions already closed before saturation.
     """
     n = models.n
+    kmin = min(kmin, n)
+    alt = 4 if kmin == 1 else 1
     analysis = analyze(models)
     error = None
     algo_answer = "error"
@@ -205,13 +207,10 @@ def examine_instance(
     witness_ok = not algo_yes or bool(verdict.extra_mask >> int(witness, 2) & 1)
     agree = error is None and algo_yes == oracle_yes and witness_ok
 
-    alt_compared = alt_kmin is not None and 1 <= alt_kmin <= n and alt_kmin != kmin and error is None
-    # strata do not depend on kmin, so every walk here takes its prefixes
-    # from the analysis' one full cover
-    cover = analysis.cover.entries()
+    alt_compared = alt <= n and error is None
     alt_divergence = False
     if alt_compared:
-        alt_yes = any(0 not in probe(analysis, p)[0] for p in cover if len(p) >= alt_kmin)
+        alt_yes = any(0 not in closed_masks for _, closed_masks, _, _ in walk(analysis, alt))
         alt_divergence = alt_yes != algo_yes
 
     quine_pairs = 0
@@ -219,9 +218,7 @@ def examine_instance(
     closed_restrictions = 0
     checked_restrictions = 0
     if quine_probe or closedness_stats:
-        closed_sat = satisfying_mask(analysis.closed) if quine_probe else 0
-        for prefix in cover:
-            closed_masks, steps, deletions = probe(analysis, prefix)
+        for prefix, closed_masks, steps, deletions in walk(analysis):
             if closedness_stats:
                 checked_restrictions += 1
                 if steps == 0 and deletions == 0:
@@ -230,8 +227,9 @@ def examine_instance(
                 quine_pairs += 1
                 no_empty = 0 not in closed_masks
                 # the restriction is satisfiable iff a model of the closed
-                # formula extends the prefix
-                sat = prefix_window(closed_sat, prefix, n) != 0
+                # formula, which has the candidate's models, extends the
+                # prefix; a cover prefix starts no input model, so each is extra
+                sat = prefix_window(verdict.extra_mask, prefix, n) != 0
                 if sat != no_empty:
                     mismatches.append(prefix)
 
@@ -415,7 +413,7 @@ def classify(
     def still_failing(ms: ModelSet) -> bool:
         try:
             probe = examine_instance(
-                "shrink-probe", 0, ms, kmin=min(kmin, ms.n), cap=cap,
+                "shrink-probe", 0, ms, kmin=kmin, cap=cap,
                 quine_probe=bool(exam.quine_mismatch_prefixes),
             )
         except Exception:
@@ -424,7 +422,7 @@ def classify(
 
     minimized = shrink(start, still_failing)
     mini_exam = examine_instance(
-        "minimized", 0, minimized, kmin=min(kmin, minimized.n), cap=cap,
+        "minimized", 0, minimized, kmin=kmin, cap=cap,
         quine_probe=bool(exam.quine_mismatch_prefixes),
     )
     battery = invariant_battery(minimized)
@@ -483,17 +481,7 @@ class CampaignResult:
 
 
 def _campaign_worker(payload: tuple) -> Examination:
-    instance_id, seed, n, model_tuple, kmin, cap, alt_kmin, quine, closedness = payload
-    return examine_instance(
-        instance_id,
-        seed,
-        ModelSet(n, model_tuple),
-        kmin=kmin,
-        cap=cap,
-        alt_kmin=alt_kmin,
-        quine_probe=quine,
-        closedness_stats=closedness,
-    )
+    return examine_instance(*payload)
 
 
 def differential_run(
@@ -507,17 +495,16 @@ def differential_run(
     """Score every generated instance against the oracle and classify failures.
 
     kmin must lie in 1..4 (see `decide`), else ValueError before anything
-    is generated; an instance with fewer variables walks from kmin=n.
-    Every instance is also walked at the other cover floor (4 for kmin=1,
-    else 1).  closedness_sample=0 collects already-closed-restriction
-    statistics on every instance when quine_probe is set and on none
-    otherwise; a value s > 0 samples every s-th instance.  Output is a pure
+    is generated; `examine_instance` says how each instance is examined,
+    the other cover floor included.  closedness_sample=0 collects
+    already-closed-restriction statistics on every instance when
+    quine_probe is set and on none otherwise; a value s > 0 samples every
+    s-th instance.  Output is a pure
     function of specs and configuration: identical runs render identical
     reports.
     """
     if not 1 <= kmin <= MAX_KMIN:
         raise ValueError(f"kmin {kmin} out of range 1..{MAX_KMIN}")
-    alt = 4 if kmin == 1 else 1
 
     def payloads() -> Iterator[tuple]:
         counter = 0
@@ -525,10 +512,8 @@ def differential_run(
             for instance_id, seed, ms in generate_with_ids(spec):
                 counter += 1
                 closedness = quine_probe if closedness_sample == 0 else (counter % closedness_sample == 0)
-                yield (
-                    instance_id, seed, ms.n, ms.models, min(kmin, ms.n), cap,
-                    alt, quine_probe, closedness,
-                )
+                # examine_instance's arguments, in order
+                yield instance_id, seed, ms, kmin, cap, quine_probe, closedness
 
     instances = agreements = disagreements = errors = 0
     yes_answers = witnesses_verified = 0

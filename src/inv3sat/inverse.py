@@ -29,17 +29,18 @@ then costs more than the per-variable ANDs they replace.
 The plain bitsets, not the lanes, test a witness (it must show no
 projection onto three variables that no model shows) and refute, without
 resolution, a prefix that shows one: it falsifies a closed clause
-outright.  `analyze` also builds the instance's one prefix cover, which
-every walk shares, and `three_limited_closure` stays step 1's test
+outright.  `analyze` also builds the instance's one prefix cover, and
+`walk` is the one loop over it: it yields each prefix with its `probe`
+result, `decide` stops at the first open prefix, and the harness reads
+the same generator.  `three_limited_closure` stays step 1's test
 reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -429,6 +430,20 @@ def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     return result
 
 
+def walk(analysis: Analysis, kmin: int = 1, deadline: float | None = None) -> Iterator[tuple]:
+    """Yield `(prefix, *probe(analysis, prefix))` for every cover prefix of
+    length >= kmin, shortest stratum first, construction order within one.
+    A stratum is built only when the walk reaches it.  `deadline` is a
+    wall-clock instant checked before each prefix: past it, TimeoutError.
+    """
+    strata = analysis.cover.strata
+    for k in range(kmin, analysis.models.n + 1):
+        for prefix in strata[k]:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeoutError("prefix walk exceeded its deadline")
+            yield (prefix, *probe(analysis, prefix))
+
+
 def decide(
     models: ModelSet | Analysis,
     kmin: int = 1,
@@ -436,37 +451,29 @@ def decide(
 ) -> DecisionReport:
     """Decide whether the candidate formula has a model outside the set.
 
-    Walks the analysis' cover prefixes of length >= kmin in canonical order
-    (shortest stratum first, construction order within a stratum), building
-    a stratum only when the walk reaches it, and stops at the first prefix
-    whose restricted closure lacks the empty clause;
-    the witness built there is checked against the definition of the
-    candidate formula (every 3-projection of the witness occurs in some
-    model, see `_projections_occur`) and against the model set before it
-    is reported, so the raw candidate is never built.  kmin must lie in
+    Walks the analysis' cover prefixes of length >= kmin (`walk`) and
+    stops at the first prefix whose restricted closure lacks the empty
+    clause; the witness built there is checked against the definition of
+    the candidate formula (every 3-projection of the witness occurs in
+    some model, see `_projections_occur`) and against the model set before
+    it is reported, so the raw candidate is never built.  kmin must lie in
     1..min(MAX_KMIN, n), else ValueError.  An exhausted witness search
     raises ClosureTestFailed; a witness that fails the check raises
     WitnessExtractionFailed.  `models` may be an `analyze` result, whose
     cover and probes the walk then shares with other walks over the same
     set; the timings of steps 1 and 2 are always the analysis' build times.
-    `deadline` is a wall-clock instant after which the walk aborts with
-    TimeoutError.
+    `deadline` is passed to `walk`.
     """
     analysis = models if isinstance(models, Analysis) else analyze(models)
     models = analysis.models
     if not 1 <= kmin <= min(MAX_KMIN, models.n):
         raise ValueError(f"kmin {kmin} out of range 1..{min(MAX_KMIN, models.n)}")
     start = time.perf_counter()
-    strata = analysis.cover.strata
-
     member = models.member_set()
     trace: list[PrefixRecord] = []
     witness = None
     answer = Answer.NO_EXTRA_MODEL
-    for prefix in itertools.chain.from_iterable(strata[k] for k in range(kmin, models.n + 1)):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeoutError("prefix walk exceeded its deadline")
-        closed_masks = probe(analysis, prefix)[0]
+    for prefix, closed_masks, _, _ in walk(analysis, kmin, deadline):
         clauses = tuple(sorted((decode_mask(m) for m in closed_masks), key=clause_sort_key))
         empty = 0 in closed_masks
         trace.append(PrefixRecord(prefix, len(closed_masks), empty, clauses))

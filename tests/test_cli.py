@@ -417,6 +417,22 @@ class TestFuzzCommand:
         code, _, _ = run(capsys, "fuzz", "--random", "4:2", "--jobs", "0")
         assert code == 2
 
+    def test_jobs_above_cpu_count_exits_2_before_any_work(self, capsys, monkeypatch):
+        import multiprocessing
+
+        from inv3sat import harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no instance or worker may be started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(harness, "generate_with_ids", refuse)
+        jobs = str((os.cpu_count() or 1) + 1)
+        code, out, err = run(capsys, "fuzz", "--random", "4:2", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --jobs")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from inv3sat import Answer, Cnf, ModelSet, harness, inverse, oracle_decide
+from inv3sat import Answer, Cnf, ModelSet, decide, harness, inverse, oracle_decide
+from inv3sat.formula import prefix_window, satisfying_mask
+from inv3sat.inverse import analyze
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -97,7 +100,7 @@ class TestExamineInstance:
 
     def test_alt_kmin_comparison_runs(self):
         ms = ModelSet(5, WORKED_MODELS)
-        exam = examine_instance("worked", 0, ms, kmin=1, alt_kmin=4)
+        exam = examine_instance("worked", 0, ms, kmin=1)
         assert exam.alt_compared
         assert not exam.alt_divergence
 
@@ -116,7 +119,7 @@ class TestExamineInstance:
     def test_quine_probe_flags_satisfiable_restrictions(self, monkeypatch):
         # A probe that always derives the empty clause is wrong exactly on
         # the prefixes that an extra model (00101 01111 10111 11101) extends.
-        monkeypatch.setattr(harness, "probe", lambda analysis, prefix: (frozenset({0}), 0, 0))
+        monkeypatch.setattr(inverse, "probe", lambda analysis, prefix: (frozenset({0}), 0, 0))
         exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1, quine_probe=True)
         assert exam.quine_mismatch_prefixes == ("1011", "0111", "11101", "00101")
         assert exam.needs_attention()
@@ -132,10 +135,43 @@ class TestExamineInstance:
 
         monkeypatch.setattr(inverse, "prefix_cover", counted)
         monkeypatch.setattr(harness, "prefix_cover", counted)
-        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1,
-                                alt_kmin=4, quine_probe=True)
+        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1, quine_probe=True)
         assert exam.alt_compared and exam.quine_pairs == 14
         assert len(calls) == 1
+
+    def test_walk_builds_only_the_strata_decide_reaches(self, monkeypatch):
+        # without the quine probe, neither decide nor the other floor's
+        # walk reads past the prefix where decide stopped
+        rng = random.Random(20261023)
+        ms = ModelSet(16, tuple(format(a, "016b") for a in rng.sample(range(1 << 16), 100)))
+        stop = len(decide(ms).trace[-1].prefix)
+        assert stop < ms.n
+        seen, real = [], harness.analyze
+
+        def spy(models):
+            seen.append(real(models))
+            return seen[-1]
+
+        monkeypatch.setattr(harness, "analyze", spy)
+        exam = examine_instance("wide", 0, ms, kmin=1)
+        assert exam.agree and exam.alt_compared
+        assert len(seen) == 1
+        assert sorted(seen[0].cover.strata._built) == list(range(1, stop + 1))
+
+    def test_quine_probe_reads_the_oracle_table(self):
+        # a cover prefix starts no model, so the closure's models that
+        # extend it are exactly the oracle's extra models that do
+        rng = random.Random(20261024)
+        for _ in range(300):
+            n = rng.randint(3, 10)
+            m = rng.randint(1, min(1 << n, 40))
+            ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
+            analysis = analyze(ms)
+            closed_sat = satisfying_mask(analysis.closed)
+            extra = oracle_decide(ms).extra_mask
+            for p in analysis.cover.entries():
+                sat = prefix_window(closed_sat, p, n) != 0
+                assert sat == (prefix_window(extra, p, n) != 0), (ms.models, p)
 
     def test_closedness_stats_collected(self):
         ms = ModelSet(5, WORKED_MODELS)

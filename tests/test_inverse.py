@@ -25,7 +25,7 @@ from inv3sat import inverse
 from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
-from inv3sat.inverse import MAX_KMIN, _projections_occur, analyze, probe
+from inv3sat.inverse import MAX_KMIN, _projections_occur, analyze, probe, walk
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -516,6 +516,25 @@ class TestExtractWitness:
             return
         assert w.startswith(prefix)
         assert evaluate(closed, w)
+
+
+class TestWalk:
+    def test_yields_the_cover_with_its_probes(self):
+        rng = random.Random(20261022)
+        for _ in range(200):
+            n = rng.randint(3, 10)
+            m = rng.randint(1, min(1 << n, 30))
+            ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
+            reference = analyze(ms)
+            for kmin in range(1, min(MAX_KMIN, n) + 1):
+                expected = [(p, *probe(reference, p)) for p in prefix_cover(ms, kmin).entries()]
+                assert list(walk(analyze(ms), kmin)) == expected, (ms.models, kmin)
+
+    def test_expired_deadline_yields_nothing(self, worked_models):
+        analysis = analyze(worked_models)
+        with pytest.raises(TimeoutError):
+            next(walk(analysis, 1, deadline=0.0))
+        assert analysis.probes == {}
 
 
 class TestProbe:
