@@ -119,8 +119,14 @@ class TestExamineInstance:
     def test_quine_probe_flags_satisfiable_restrictions(self, monkeypatch):
         # A probe that always derives the empty clause is wrong exactly on
         # the prefixes that an extra model (00101 01111 10111 11101) extends.
+        # decide keeps its unpatched report, so the examination still agrees
+        # and only the quine mismatches call for attention.
+        ms = ModelSet(5, WORKED_MODELS)
+        report = decide(ms)
+        monkeypatch.setattr(harness, "decide", lambda analysis, kmin: report)
         monkeypatch.setattr(inverse, "probe", lambda analysis, prefix: (frozenset({0}), 0, 0))
-        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1, quine_probe=True)
+        exam = examine_instance("worked", 0, ms, kmin=1, quine_probe=True)
+        assert exam.agree
         assert exam.quine_mismatch_prefixes == ("1011", "0111", "11101", "00101")
         assert exam.needs_attention()
 
