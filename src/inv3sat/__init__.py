@@ -28,8 +28,6 @@ from .formula import (
     cnf_of,
     evaluate,
     mk_clause,
-    restrict_clause,
-    restrict_formula,
 )
 from .inverse import (
     Answer,
@@ -76,8 +74,6 @@ __all__ = [
     "oracle_decide",
     "prefix_cover",
     "read_models",
-    "restrict_clause",
-    "restrict_formula",
     "three_limited_closure",
     "verify_witness",
     "write_cover",

@@ -64,8 +64,10 @@ def _kmin(args: argparse.Namespace) -> int:
     if kmin is None:
         kmin = 4 if args.paper_mode else 1
     if not 1 <= kmin <= MAX_KMIN:
-        raise InputFormatError(f"--kmin must be 1..{MAX_KMIN}, got {kmin}: a larger kmin "
-                               f"skips stratum {MAX_KMIN}, which can hold every extra model")
+        message = f"--kmin must be 1..{MAX_KMIN}, got {kmin}"
+        if kmin > MAX_KMIN:
+            message += f": a larger kmin skips stratum {MAX_KMIN}, which can hold every extra model"
+        raise InputFormatError(message)
     return kmin
 
 
@@ -389,10 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, InputTooSmall, CapExceeded, GeneratorExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError, TimeoutError) as exc:
+    except (InputFormatError, InputTooSmall, CapExceeded, GeneratorExhausted,
+            FileNotFoundError, IsADirectoryError, PermissionError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClosureTestFailed as exc:

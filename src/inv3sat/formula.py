@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 class TautologyRejected(Exception):
@@ -131,11 +131,6 @@ class ModelSet:
         return iter(self.models)
 
 
-def prefix_bindings(prefix: str) -> dict[int, int]:
-    """Bindings for a prefix assignment: variable i gets bit i-1 of the string."""
-    return {i + 1: int(b) for i, b in enumerate(prefix)}
-
-
 def satisfies_clause(clause: Clause, assignment: str) -> bool:
     return any((lit > 0) == (assignment[abs(lit) - 1] == "1") for lit in clause)
 
@@ -145,33 +140,6 @@ def evaluate(formula: Cnf, assignment: str) -> bool:
     if len(assignment) != formula.num_vars:
         raise ValueError("assignment length does not match num_vars")
     return all(satisfies_clause(c, assignment) for c in formula.clauses)
-
-
-def restrict_clause(clause: Clause, bindings: Mapping[int, int]) -> Clause | None:
-    """Apply bindings to one clause.
-
-    Returns None when some bound literal is true (clause satisfied and
-    dropped); otherwise returns the clause with false literals removed.  A
-    clause whose literals are all falsified comes back as the empty clause.
-    """
-    kept = []
-    for lit in clause:
-        value = bindings.get(abs(lit))
-        if value is None:
-            kept.append(lit)
-        elif (lit > 0) == (value == 1):
-            return None
-    return tuple(kept)
-
-
-def restrict_formula(formula: Cnf, bindings: Mapping[int, int]) -> Cnf:
-    """Restrict every clause; satisfied clauses vanish, emptied clauses stay."""
-    restricted = set()
-    for clause in formula.clauses:
-        r = restrict_clause(clause, bindings)
-        if r is not None:
-            restricted.add(r)
-    return Cnf(formula.num_vars, frozenset(restricted))
 
 
 # Truth tables as big ints: bit a of a mask tells whether assignment index a

@@ -561,8 +561,8 @@ def differential_run(
                 attention.append(exam)
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            # every result is read unless one raised, and then no worker should go on
+            pool.terminate()
 
     reports = tuple(classify(exam, kmin, cap) for exam in attention)
     return CampaignResult(

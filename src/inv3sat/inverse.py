@@ -325,21 +325,21 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
     binary number.
 
     The search runs depth first on clause masks, on an explicit stack, so
-    its depth is not bounded by the recursion limit.  It sets every unit
-    true, then tries the lowest variable left at 0 before 1; a variable in
-    no clause stays 0.  Units hold in every model, so the first model found
-    is the least one.  Exhausting the search raises ClosureTestFailed.
+    its depth is not bounded by the recursion limit.  Its first step sets
+    the prefix's literals true, which restricts the formula by the prefix.
+    It then sets every unit true, and tries the lowest variable left at 0
+    before 1; a variable in no clause stays 0.  Units hold in every model,
+    so the first model found is the least one.  Exhausting the search
+    raises ClosureTestFailed.
     """
     n = formula.num_vars
     positives = _positive_slots(n)
-    true_mask, false_mask = prefix_literal_masks(prefix)
-    restricted = restrict_mask_clauses(map(encode_clause, formula.clauses), true_mask, false_mask)
-    # each entry: a clause set, the literals true so far, one literal to set true first
-    stack = [(restricted, true_mask, 0)]
+    # each entry: a clause set, the literals true so far, the literals to set true first
+    stack = [({encode_clause(c) for c in formula.clauses}, 0, prefix_literal_masks(prefix)[0])]
     while stack:
         clauses, true, lit = stack.pop()
         true |= lit
-        false = (lit & positives) << 1 | (lit >> 1) & positives
+        false = (lit & positives) << 1 | (lit >> 1) & positives  # the complements of lit
         clauses = {c & ~false for c in clauses if not c & lit}
         if 0 in clauses:
             continue

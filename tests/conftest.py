@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from inv3sat import ModelSet, cnf_of
+from inv3sat import Cnf, ModelSet, cnf_of
+from inv3sat.closure import decode_mask, encode_clause, prefix_literal_masks, restrict_mask_clauses
 
 # The running example used across the golden tests: n=5, eight models,
 # chosen so the pipeline finds the extra model 10111 behind prefix 1011.
@@ -127,6 +128,13 @@ def parity_models():
             if all((a & mask).bit_count() % 2 == r for mask, r in rows)
         ),
     )
+
+
+def restrict(formula, prefix):
+    """F|prefix through the restriction the pipeline runs, decoded into a
+    Cnf over the same variables: satisfied clauses drop, false literals go."""
+    masks = restrict_mask_clauses(map(encode_clause, formula.clauses), *prefix_literal_masks(prefix))
+    return Cnf(formula.num_vars, frozenset(map(decode_mask, masks)))
 
 
 def affine_models(n, d, seed):

@@ -20,11 +20,10 @@ from inv3sat import (
     cnf_of,
     decide,
     prefix_cover,
-    restrict_formula,
     three_limited_closure,
     verify_witness,
 )
-from inv3sat.formula import prefix_bindings, satisfying_mask
+from inv3sat.formula import satisfying_mask
 from inv3sat.harness import (
     EXHAUSTIVE,
     InstanceSpec,
@@ -44,6 +43,7 @@ from conftest import (
     WORKED_STRATUM_4,
     WORKED_STRATUM_5,
     WORKED_WITNESS,
+    restrict,
 )
 
 CAMPAIGN_SEED = 20260822
@@ -198,8 +198,7 @@ def test_c05_restriction_battery():
         k = rng.randint(0, n)
         prefix = "".join(rng.choice("01") for _ in range(k))
 
-        restricted = restrict_formula(f, prefix_bindings(prefix))
-        got = satisfying_mask(restricted)
+        got = satisfying_mask(restrict(f, prefix))
 
         expect = 0
         full = satisfying_mask(f)

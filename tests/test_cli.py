@@ -304,10 +304,13 @@ class TestErrorPaths:
         path = tmp_path / "stratum4.models"
         path.write_text("\n".join(STRATUM4_MODELS) + "\n")
         family = ["--input", str(path)] if command != "fuzz" else ["--random", "5:2"]
-        code, out, err = run(capsys, command, *family, "--kmin", "5")
-        assert code == 2
-        assert out == ""
-        assert "--kmin must be 1..4" in err
+        for kmin in (0, 5):
+            code, out, err = run(capsys, command, *family, "--kmin", str(kmin))
+            assert code == 2
+            assert out == ""
+            assert f"--kmin must be 1..4, got {kmin}" in err
+            # only a kmin above 4 skips stratum 4
+            assert ("larger" in err) == (kmin > 4)
 
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -16,7 +16,7 @@ from inv3sat.closure import (
     restrict_mask_clauses,
     saturate_masks,
 )
-from inv3sat.formula import satisfying_mask
+from inv3sat.formula import prefix_window, satisfying_mask
 
 from conftest import WORKED_CANDIDATE, WORKED_CLOSURE
 from strategies import formulas
@@ -140,16 +140,19 @@ class TestIsClosed:
 
 class TestMaskRestriction:
     def test_matches_clause_restriction(self):
+        # over the free variables, the restriction's models are the window
+        # of the formula's truth table at the prefix, for every nonempty prefix
         f = cnf_of(5, WORKED_CANDIDATE)
         masks = [encode_clause(c) for c in f.ordered()]
-        t, fa = prefix_literal_masks("0100")
-        restricted = restrict_mask_clauses(masks, t, fa)
-        got = {decode_mask(m) for m in restricted}
-        from inv3sat import restrict_formula
-        from inv3sat.formula import prefix_bindings
-
-        want = restrict_formula(f, prefix_bindings("0100")).clauses
-        assert got == set(want)
+        full = satisfying_mask(f)
+        for k in range(1, 6):
+            for a in range(1 << k):
+                prefix = format(a, f"0{k}b")
+                t, fa = prefix_literal_masks(prefix)
+                restricted = restrict_mask_clauses(masks, t, fa)
+                assert not any(m & (t | fa) for m in restricted), prefix
+                free = Cnf(5 - k, frozenset(decode_mask(m >> 2 * k) for m in restricted))
+                assert satisfying_mask(free) == prefix_window(full, prefix, 5), prefix
 
     def test_satisfied_clauses_drop(self):
         masks = [encode_clause((1, 2))]

@@ -10,8 +10,6 @@ from inv3sat import (
     cnf_of,
     evaluate,
     mk_clause,
-    restrict_clause,
-    restrict_formula,
     three_limited_closure,
 )
 from inv3sat.closure import (
@@ -25,13 +23,13 @@ from inv3sat.formula import (
     assignment_mask,
     clause_sort_key,
     mask_to_models,
-    prefix_bindings,
     prefix_window,
     satisfies_clause,
     satisfying_mask,
 )
 from inv3sat.inverse import analyze
 
+from conftest import restrict
 from strategies import assignments, clauses, formulas, model_sets
 
 
@@ -96,12 +94,11 @@ class TestCnf:
         raw = candidate_formula(models)
         closed = three_limited_closure(raw).closed_formula
         direct = analyze(models).closed
-        restricted = restrict_formula(closed, prefix_bindings(assignment[:k]))
         true_mask, false_mask = prefix_literal_masks(assignment[:k])
         masks = restrict_mask_clauses(map(encode_clause, closed.clauses), true_mask, false_mask)
-        saturated = saturate_masks(masks, n)[0]
-        decoded = [decode_mask(m) for m in saturated]
-        for clause in (*raw.clauses, *closed.clauses, *direct.clauses, *restricted.clauses, *decoded):
+        restricted = [decode_mask(m) for m in masks]
+        saturated = [decode_mask(m) for m in saturate_masks(masks, n)[0]]
+        for clause in (*raw.clauses, *closed.clauses, *direct.clauses, *restricted, *saturated):
             assert clause == mk_clause(clause)
             assert all(abs(lit) <= n for lit in clause)
 
@@ -159,28 +156,30 @@ class TestEvaluation:
 
 
 class TestRestriction:
+    # the restriction the pipeline runs, on clause masks (see conftest.restrict)
+
     def test_satisfied_clause_drops(self):
-        assert restrict_clause((1, 2), prefix_bindings("1")) is None
+        assert restrict(cnf_of(2, [(1, 2)]), "1").clauses == set()
 
     def test_false_literal_removed(self):
-        assert restrict_clause((1, 2), prefix_bindings("0")) == (2,)
+        assert restrict(cnf_of(2, [(1, 2)]), "0").clauses == {(2,)}
 
     def test_unbound_clause_untouched(self):
-        assert restrict_clause((3, 4), prefix_bindings("10")) == (3, 4)
+        assert restrict(cnf_of(4, [(3, 4)]), "10").clauses == {(3, 4)}
 
     def test_fully_false_gives_empty(self):
-        assert restrict_clause((1, -2), prefix_bindings("01")) == ()
+        assert restrict(cnf_of(2, [(1, -2)]), "01").clauses == {()}
 
     def test_empty_prefix_is_identity(self):
         f = cnf_of(3, [(1, 2), (-3,)])
-        assert restrict_formula(f, {}) == f
+        assert restrict(f, "") == f
 
     @given(formulas(5), st.integers(min_value=0, max_value=5))
     def test_restriction_semantics(self, f, k):
         # a satisfies F|I exactly when a with its first k bits overridden
         # by I satisfies F.
         prefix = format(3, "05b")[:k]
-        restricted = restrict_formula(f, prefix_bindings(prefix))
+        restricted = restrict(f, prefix)
         for a in range(2**5):
             s = format(a, "05b")
             overridden = prefix + s[k:]
@@ -188,7 +187,7 @@ class TestRestriction:
 
     @given(formulas(5))
     def test_restricted_formula_never_mentions_bound_variables(self, f):
-        restricted = restrict_formula(f, prefix_bindings("10"))
+        restricted = restrict(f, "10")
         for c in restricted.clauses:
             assert all(abs(l) > 2 for l in c)
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
 import random
+import time
 
 import pytest
 
@@ -314,6 +316,22 @@ class TestDifferentialRun:
         serial = differential_run(specs, kmin=1, jobs=1)
         parallel = differential_run(specs, kmin=1, jobs=2)
         assert render_summary(serial) == render_summary(parallel)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the patched examine_instance")
+    def test_error_in_one_instance_stops_every_worker(self, monkeypatch, tmp_path):
+        # the instance ending in -0 opens the first chunk; every other one
+        # leaves a file, so a pool drained after the error shows in the count
+        def examine(instance_id, *args):
+            if instance_id.endswith("-0"):
+                raise RuntimeError("examine failed")
+            (tmp_path / instance_id).touch()
+            time.sleep(0.002)
+
+        monkeypatch.setattr(harness, "examine_instance", examine)
+        with pytest.raises(RuntimeError, match="examine failed"):
+            differential_run([InstanceSpec(RANDOM_SUBSET, 6, count=2000)], jobs=2)
+        assert len(list(tmp_path.iterdir())) < 1000
 
     def test_summary_is_json_with_expected_keys(self):
         specs = [InstanceSpec(RANDOM_SUBSET, 4, count=5, seed=1)]
