@@ -24,12 +24,12 @@ from pathlib import Path
 
 from .formats import (
     InputFormatError,
-    format_formula,
+    format_clause,
     read_models,
     write_cover,
     write_dimacs,
 )
-from .formula import CapExceeded, Cnf, ENUMERATION_CAP, InputTooSmall, mask_to_models
+from .formula import CapExceeded, ENUMERATION_CAP, InputTooSmall, mask_to_models
 from .harness import (
     EXHAUSTIVE,
     GeneratorExhausted,
@@ -182,7 +182,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"cover size: {report.cover_size}, prefixes checked: {len(report.trace)}")
         print("trace:")
         for rec in report.trace:
-            shown = format_formula(Cnf(report.n, frozenset(rec.closure_clauses)))
+            shown = "{" + ", ".join(map(format_clause, rec.closure_clauses)) + "}"  # sorted by decide
             print(
                 f"  {rec.prefix} k={len(rec.prefix)} closure_size={rec.closure_size} "
                 f"empty={'yes' if rec.contains_empty else 'no'} {shown}"

@@ -33,7 +33,7 @@ def read_models(text: str) -> ModelSet:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if set(line) - {"0", "1"}:
+        if line.strip("01"):
             raise InputFormatError(f"line {lineno}: {line!r} is not a 0/1 assignment")
         entries.append((lineno, line))
     if not entries:

@@ -115,7 +115,7 @@ class ModelSet:
             raise ValueError("model set must be nonempty")
         seen = set()
         for m in self.models:
-            if len(m) != self.n or set(m) - {"0", "1"}:
+            if len(m) != self.n or m.strip("01"):
                 raise ValueError(f"bad model {m!r}: want {self.n} chars over 0/1")
             if m in seen:
                 raise ValueError(f"duplicate model {m}")
@@ -201,6 +201,7 @@ def mask_to_models(mask: int, n: int, limit: int | None = None) -> tuple[str, ..
 
 
 def prefix_window(mask: int, prefix: str, n: int) -> int:
-    """Truth table, over the free variables, of the assignments extending prefix."""
+    """Truth table, over the free variables, of the assignments extending
+    prefix; the empty prefix keeps the whole table."""
     free = n - len(prefix)
-    return (mask >> (int(prefix, 2) << free)) & ((1 << (1 << free)) - 1)
+    return (mask >> (int(prefix or "0", 2) << free)) & ((1 << (1 << free)) - 1)

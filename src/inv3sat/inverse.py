@@ -26,14 +26,15 @@ that, so they only filter and the full columns confirm every clause they
 propose: a pattern no model shows is not shown by a sample either.
 Uncapped lanes are as wide as the model count, and every lane operation
 then costs more than the per-variable ANDs they replace.
-The plain bitsets, not the lanes, test a witness (it must show no
-projection onto three variables that no model shows) and refute, without
-resolution, a prefix that shows one: it falsifies a closed clause
-outright.  `analyze` also builds the instance's one prefix cover, and
-`walk` is the one loop over it: it yields each prefix with its `probe`
-result, `decide` stops at the first open prefix, and the harness reads
-the same generator.  `three_limited_closure` stays step 1's test
-reference.
+A witness is tested (it must show no projection onto three variables
+that no model shows), and a prefix that shows one is refuted without
+resolution (it falsifies a closed clause outright), in lanes of their
+own: one per variable over the full columns, every model included, so
+the test reads nothing that step 1's sampled lanes built.  `analyze`
+also builds the instance's one prefix cover, and `walk` is the one loop
+over it: it yields each prefix with its `probe` result, `decide` stops
+at the first open prefix, and the harness reads the same generator.
+`three_limited_closure` stays step 1's test reference.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .closure import (
     _positive_slots,
@@ -214,20 +216,58 @@ def candidate_formula(models: ModelSet) -> Cnf:
     return Cnf(n, frozenset(raw))
 
 
-def _projections_occur(col: list[tuple[int, int]], assignment: str) -> bool:
+class _Lanes(NamedTuple):
+    """The full columns in lanes of m + 1 bits, lane v at bit v * (m + 1)
+    and its top bit a guard that stays 0: `put[v][b]` is `col[v][b]` in
+    lane v, `spread[v][b]` is `col[v][b]` in each of lanes 0..v, and
+    `lows[v]` and `guards[v]` hold 2^m - 1 and the guard bit in each of
+    lanes 0..v."""
+
+    put: list[tuple[int, int]]
+    spread: list[tuple[int, int]]
+    lows: list[int]
+    guards: list[int]
+
+
+def _projection_lanes(col: list[tuple[int, int]], m: int) -> _Lanes:
+    """The lanes `_projections_occur` reads, over every model: no sample."""
+    w = m + 1
+    lanes, rep = _Lanes([], [], [], []), 0
+    for v, c in enumerate(col):
+        rep |= 1 << v * w  # a 1 at the bottom of lanes 0..v
+        lanes.put.append((c[0] << v * w, c[1] << v * w))
+        lanes.spread.append((c[0] * rep, c[1] * rep))
+        lanes.guards.append(rep << m)
+        lanes.lows.append((rep << m) - rep)
+    return lanes
+
+
+def _projections_occur(lanes: _Lanes, assignment: str) -> bool:
     """Whether every projection of a prefix or a full assignment onto at
     most three variables occurs in some model: for a full assignment iff it
     satisfies the candidate, for a prefix iff it falsifies no closed clause.
-    The last position goes first, since a cover prefix without its last bit
-    starts a model."""
-    picked = [c[bit == "1"] for c, bit in zip(col, assignment)]
+
+    `packed` holds each position's picked column in its lane.  For a
+    position k, `y` keeps in lane j <= k the models that show positions j
+    and k; ANDing the picked column of j spread over lanes 0..j leaves in
+    lane i < j the models that show i, j and k, and in lane j those of
+    (j, k) again.  Adding 2^m - 1 to each lane carries into its guard bit
+    exactly when the lane is nonzero, so one AND with the guards tests
+    pair (j, k) and every triple (i, j, k) at once, and j = k tests the
+    unit.  The last position goes first, since a cover prefix without its
+    last bit starts a model.
+    """
+    packed, picked = 0, []
+    for put, spread, bit in zip(lanes.put, lanes.spread, assignment):
+        b = bit == "1"
+        packed |= put[b]
+        picked.append(spread[b])
+    lows, guards = lanes.lows, lanes.guards
     for k in range(len(picked) - 1, -1, -1):
-        ck = picked[k]
-        if not ck:
-            return False
-        for j in range(k):
-            both = picked[j] & ck
-            if not both or not all(map(both.__and__, picked[:j])):
+        y = picked[k] & packed
+        for j in range(k, -1, -1):
+            guard = guards[j]
+            if (picked[j] & y) + lows[j] & guard != guard:
                 return False
     return True
 
@@ -368,17 +408,18 @@ MAX_KMIN = 4
 @dataclass(frozen=True)
 class Analysis:
     """What one model set's walks need, built once and shared by them: the
-    columns, the closed candidate and its clause masks, and the kmin=1
-    prefix cover.
+    closed candidate and its clause masks, the kmin=1 prefix cover and the
+    lanes of the projection test.
 
     `timings` holds the build time of steps 1 and 2; step 2 only sets up
-    the cover, whose strata are built in step 3 as a walk reaches them.
+    the cover and the lanes, and the strata are built in step 3 as a walk
+    reaches them.
     `probes` memoises `probe` per prefix: the saturated clause set and its
     counters, never the restricted set that fed them.
     """
 
     models: ModelSet
-    columns: list[tuple[int, int]] = field(compare=False)
+    lanes: _Lanes = field(compare=False)
     closed: Cnf
     masks: tuple[int, ...]
     cover: PrefixCover
@@ -401,11 +442,12 @@ def analyze(models: ModelSet) -> Analysis:
     masks = tuple(encode_clause(c) for c in closed.clauses)
     built = time.perf_counter()
     cover = prefix_cover(models, 1)
+    lanes = _projection_lanes(columns, len(models))
     timings = {
         "step1_candidate_closure": built - start,
         "step2_prefix_cover": time.perf_counter() - built,
     }
-    return Analysis(models, columns, closed, masks, cover, timings)
+    return Analysis(models, lanes, closed, masks, cover, timings)
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
@@ -421,7 +463,7 @@ def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     """
     result = analysis.probes.get(prefix)
     if result is None:
-        if not _projections_occur(analysis.columns, prefix):
+        if not _projections_occur(analysis.lanes, prefix):
             result = _REFUTED
         else:
             restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
@@ -480,7 +522,7 @@ def decide(
         if not empty:
             # saturation keeps the restriction's models, so this is the witness of analysis.closed
             witness = extract_witness(Cnf(models.n, frozenset(clauses)), prefix)
-            if witness in member or not _projections_occur(analysis.columns, witness):
+            if witness in member or not _projections_occur(analysis.lanes, witness):
                 raise WitnessExtractionFailed(
                     f"witness {witness} for prefix {prefix} failed verification"
                 )

@@ -233,9 +233,9 @@ class TestTruthTables:
     @given(formulas(4))
     def test_prefix_window_against_pointwise_evaluation(self, f):
         mask = satisfying_mask(f)
-        for k in range(1, 5):
+        for k in range(5):
             for p in range(1 << k):
-                prefix = format(p, f"0{k}b")
+                prefix = format(p, f"0{k}b") if k else ""
                 window = prefix_window(mask, prefix, 4)
                 for a in range(1 << (4 - k)):
                     rest = format(a, f"0{4 - k}b") if k < 4 else ""

@@ -439,11 +439,79 @@ class TestProjectionCheck:
     @given(st.integers(min_value=3, max_value=6).flatmap(model_sets))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_the_raw_candidate(self, ms):
-        columns = analyze(ms).columns
+        lanes = analyze(ms).lanes
         raw = candidate_formula(ms)
         for a in range(1 << ms.n):
             w = format(a, f"0{ms.n}b")
-            assert _projections_occur(columns, w) == evaluate(raw, w), (ms.models, w)
+            assert _projections_occur(lanes, w) == evaluate(raw, w), (ms.models, w)
+
+    # The lanes are m + 1 bits wide: one model, 64 and 65 models, and more,
+    # over skewed sets with unshown triple patterns.
+
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("m", [1, 64, 65, 100, 130])
+    def test_flipped_models_and_witnesses_match_the_candidate(self, m, n):
+        rng = random.Random(m * n)
+        ms = _biased_models(rng, n, m, 0.8)
+        analysis, raw = analyze(ms), candidate_formula(ms)
+        flipped = []
+        for x in ms.models:
+            v = rng.randrange(n)
+            flipped.append(x[:v] + ("0" if x[v] == "1" else "1") + x[v + 1 :])
+        witnesses = [decide(analysis, kmin).witness for kmin in range(1, MAX_KMIN + 1)]
+        assert (m > 1) == all(witnesses)
+        for a in [*ms.models, *flipped, *filter(None, witnesses)]:
+            assert _projections_occur(analysis.lanes, a) == evaluate(raw, a), (m, n, a)
+
+    def test_pattern_shown_only_off_the_lane_sample(self):
+        # x1 = x2 = x3 = 1 only in one model that step 1's lane sample does
+        # not hold, though each pair of it shows in held models: the test
+        # reads every model, and a table over the sample refutes that model
+        m, n = 100, 10
+        held = {t * 2654435761 % m for t in range(inverse.LANE_MODELS)}
+        rare = next(r for r in range(m) if r not in held)
+        rng = random.Random(20261019)
+        rows, seen = [], set()
+        while len(rows) < m:
+            if len(rows) == rare:
+                row = "111" + format(rng.getrandbits(n - 3), f"0{n - 3}b")
+            else:
+                row = format(rng.getrandbits(n), f"0{n}b")
+                if row.startswith("111"):
+                    continue
+            if row not in seen:
+                rows.append(row)
+                seen.add(row)
+        ms, model = ModelSet(n, tuple(rows)), rows[rare]
+        sample = inverse._lane_rows(ms)
+        assert model not in sample and not any(r.startswith("111") for r in sample)
+        assert all(any(r[i] == r[j] == "1" for r in sample) for i, j in ((0, 1), (0, 2), (1, 2)))
+        sampled = inverse._projection_lanes(inverse._bitsets(sample), len(sample))
+        assert not _projections_occur(sampled, model)
+
+        lanes, raw = analyze(ms).lanes, candidate_formula(ms)
+        assert all(_projections_occur(lanes, model[:k]) for k in range(n + 1))
+        for v in range(3, n):
+            flip = model[:v] + ("0" if model[v] == "1" else "1") + model[v + 1 :]
+            assert _projections_occur(lanes, flip) == evaluate(raw, flip), flip
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("top", [False, True], ids=["bottom", "top"])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_pattern_missing_only_at_an_end(self, n, top, width, monkeypatch):
+        # every assignment but those showing 1, 0, 1 (cut to `width`) on
+        # the first or the last variables: the one unshown pattern sits in
+        # lane 0 or at the last position, so a cut, low or guard off by one
+        # at either end misses it
+        where = range(n - width, n) if top else range(width)
+        pattern = "101"[:width]
+        everything = [format(a, f"0{n}b") for a in range(1 << n)]
+        ms = ModelSet(n, tuple(a for a in everything if "".join(a[v] for v in where) != pattern))
+        lanes, raw = analyze(ms).lanes, candidate_formula(ms)
+        for a in everything:
+            shown = "".join(a[v] for v in where) != pattern
+            assert _projections_occur(lanes, a) == evaluate(raw, a) == shown, a
+        _probe_matches_saturation(ms, _count_restrictions(monkeypatch))
 
 
 class TestExtractWitness:
@@ -589,7 +657,7 @@ def _probe_matches_saturation(ms, calls):
         for a in range(1 << k):
             prefix = format(a, f"0{k}b") if k else ""
             restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
-            assert _projections_occur(analysis.columns, prefix) == (0 not in restricted), (ms.models, prefix)
+            assert _projections_occur(analysis.lanes, prefix) == (0 not in restricted), (ms.models, prefix)
             calls.clear()
             assert probe(analysis, prefix) == saturate_masks(restricted, ms.n), (ms.models, prefix)
             assert len(calls) == (0 not in restricted), (ms.models, prefix)
