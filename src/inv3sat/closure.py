@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formula import Clause, Cnf
 
@@ -175,8 +174,7 @@ def saturate_masks(clause_masks: Iterable[int], num_vars: int) -> tuple[frozense
     return frozenset(active), steps, deletions
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     closed_formula: Cnf
     resolution_steps: int
     subsumption_deletions: int

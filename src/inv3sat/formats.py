@@ -26,18 +26,28 @@ def read_models(text: str) -> ModelSet:
     """Parse a model-set file: one 0/1 assignment per line, '#' comments.
 
     All lines must have the same length (that length is n); duplicates are
-    rejected with both line numbers in the message.
+    rejected with both line numbers in the message.  `ModelSet` validates
+    the lines, and only a rejected file is walked line by line to say where.
     """
     entries: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.strip("01"):
-            raise InputFormatError(f"line {lineno}: {line!r} is not a 0/1 assignment")
-        entries.append((lineno, line))
+        if line:
+            entries.append((lineno, line))
     if not entries:
         raise InputFormatError("no assignments in input")
+    try:
+        return ModelSet(len(entries[0][1]), tuple(line for _, line in entries))
+    except ValueError:
+        _diagnose(entries)
+        raise
+
+
+def _diagnose(entries: list[tuple[int, str]]) -> None:
+    """Raise for the first non-0/1 line, else the first line of another length or a duplicate."""
+    for lineno, line in entries:
+        if line.strip("01"):
+            raise InputFormatError(f"line {lineno}: {line!r} is not a 0/1 assignment")
     n = len(entries[0][1])
     first_seen: dict[str, int] = {}
     for lineno, line in entries:
@@ -50,7 +60,6 @@ def read_models(text: str) -> ModelSet:
                 f"line {lineno}: duplicate of line {first_seen[line]} ({line})"
             )
         first_seen[line] = lineno
-    return ModelSet(n, tuple(line for _, line in entries))
 
 
 def write_cover(cover: PrefixCover) -> str:

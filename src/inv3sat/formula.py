@@ -108,13 +108,18 @@ class ModelSet:
     models: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "models", tuple(self.models))
+        models = tuple(self.models)
+        object.__setattr__(self, "models", models)
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not self.models:
+        if not models:
             raise ValueError("model set must be nonempty")
+        # the whole set in C (bytes.translate, not str.strip); the loop names a rejected model
+        other = "".join(models).encode("ascii", "replace").translate(None, b"01")
+        if not other and set(map(len, models)) == {self.n} and len(set(models)) == len(models):
+            return
         seen = set()
-        for m in self.models:
+        for m in models:
             if len(m) != self.n or m.strip("01"):
                 raise ValueError(f"bad model {m!r}: want {self.n} chars over 0/1")
             if m in seen:

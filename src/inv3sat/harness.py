@@ -15,8 +15,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .closure import (
     decode_mask,
@@ -60,8 +59,7 @@ class GeneratorExhausted(RuntimeError):
     """A bounded retry budget ran out without producing an instance."""
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     """A reproducible recipe for one or more model-set instances.
 
     kind "exhaustive" streams every nonempty subset of {0,1}^n (desk scale,
@@ -145,8 +143,7 @@ def generate(spec: InstanceSpec) -> Iterator[ModelSet]:
 
 # -- per-instance examination -------------------------------------------------
 
-@dataclass(frozen=True)
-class Examination:
+class Examination(NamedTuple):
     instance_id: str
     seed: int
     n: int
@@ -295,8 +292,7 @@ def shrink(models: ModelSet, predicate: Callable[[ModelSet], bool]) -> ModelSet:
     return current
 
 
-@dataclass(frozen=True)
-class BatteryResult:
+class BatteryResult(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
 
@@ -378,8 +374,7 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
     return BatteryResult(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     instance_id: str
     reproduction_seed: int
     kind: str
@@ -461,8 +456,7 @@ def classify(
 
 # -- campaigns ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     kmin: int
     instances: int
     agreements: int
@@ -648,8 +642,7 @@ def render_summary(result: CampaignResult) -> str:
 
 # -- scaling benchmark --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     n: int
     models_per_instance: int
     trials: int

@@ -42,7 +42,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -272,14 +271,13 @@ def _projections_occur(lanes: _Lanes, assignment: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrefixCover:
+class PrefixCover(NamedTuple):
     """Strata of complement-covering prefixes of `models`, from kmin up to n."""
 
     n: int
     kmin: int
     strata: Mapping[int, tuple[str, ...]]
-    models: ModelSet = field(repr=False, compare=False)
+    models: ModelSet
 
     def entries(self) -> tuple[str, ...]:
         """All prefixes, shortest stratum first, construction order within."""
@@ -337,23 +335,21 @@ def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
     return PrefixCover(models.n, kmin, _Strata(models, kmin), models)
 
 
-@dataclass(frozen=True)
-class PrefixRecord:
+class PrefixRecord(NamedTuple):
     prefix: str
     closure_size: int
     contains_empty: bool
     closure_clauses: tuple[Clause, ...]
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     answer: Answer
     witness: str | None
     kmin: int
     n: int
     cover_size: int
     trace: tuple[PrefixRecord, ...]
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float]
 
     def exactly_representable(self) -> bool:
         """The complementary phrasing: no extra model means phi is exact."""
@@ -405,8 +401,7 @@ _REFUTED = (frozenset({0}), 0, 0)
 MAX_KMIN = 4
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """What one model set's walks need, built once and shared by them: the
     closed candidate and its clause masks, the kmin=1 prefix cover and the
     lanes of the projection test.
@@ -419,12 +414,12 @@ class Analysis:
     """
 
     models: ModelSet
-    lanes: _Lanes = field(compare=False)
+    lanes: _Lanes
     closed: Cnf
     masks: tuple[int, ...]
     cover: PrefixCover
-    timings: dict[str, float] = field(compare=False)
-    probes: dict[str, tuple[frozenset[int], int, int]] = field(default_factory=dict, compare=False)
+    timings: dict[str, float]
+    probes: dict[str, tuple[frozenset[int], int, int]]
 
 
 def analyze(models: ModelSet) -> Analysis:
@@ -447,7 +442,7 @@ def analyze(models: ModelSet) -> Analysis:
         "step1_candidate_closure": built - start,
         "step2_prefix_cover": time.perf_counter() - built,
     }
-    return Analysis(models, lanes, closed, masks, cover, timings)
+    return Analysis(models, lanes, closed, masks, cover, timings, {})
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
@@ -534,7 +529,7 @@ def decide(
         witness=witness,
         kmin=kmin,
         n=models.n,
-        cover_size=replace(analysis.cover, kmin=kmin).total(),  # the analysis' cover starts at 1
+        cover_size=analysis.cover._replace(kmin=kmin).total(),  # the analysis' cover starts at 1
         trace=tuple(trace),
         timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
     )

@@ -8,7 +8,7 @@ always means something.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     CapExceeded,
@@ -22,8 +22,7 @@ from .formula import (
 from .inverse import candidate_formula
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """extra_mask has bit a set for every candidate-formula model a outside
     the input set; extra_models decodes them all, ascending."""
 

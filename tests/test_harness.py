@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import random
@@ -249,7 +248,7 @@ class TestInvariantBattery:
         def lossy(models):
             analysis = real(models)
             dropped = frozenset(sorted(analysis.closed.clauses)[1:])
-            return dataclasses.replace(analysis, closed=Cnf(models.n, dropped))
+            return analysis._replace(closed=Cnf(models.n, dropped))
 
         monkeypatch.setattr(harness, "analyze", lossy)
         result = invariant_battery(ModelSet(5, WORKED_MODELS))
@@ -268,7 +267,7 @@ class TestInvariantBattery:
 
         def faulty(models, kmin=1):
             cover = real(models, kmin)
-            return dataclasses.replace(cover, strata={**cover.strata, 5: edit(cover.strata[5])})
+            return cover._replace(strata={**cover.strata, 5: edit(cover.strata[5])})
 
         monkeypatch.setattr(harness, "prefix_cover", faulty)
         return invariant_battery(ModelSet(5, WORKED_MODELS))
