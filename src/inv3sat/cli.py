@@ -6,9 +6,10 @@ expired, 3 means `decide` could not report a verified answer: either the
 paper's closure test failed (a prefix's width-3 closure held no empty
 clause, yet the witness search proved the restriction unsatisfiable) or
 the pipeline caught itself in an internal inconsistency (a witness failed
-verification).  stderr says which.  Stdout is deterministic for a given
-input and configuration; timings and progress go to stderr under
---verbose.  The parser is built once per process.
+verification).  stderr says which.  A reader closing stdout early (`| head`)
+ends the run quietly with 141, as a shell reports a SIGPIPE death.  Stdout
+is deterministic for a given input and configuration; timings and
+progress go to stderr under --verbose.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
             print(f"witness: {report.witness}")
         print(f"cover size: {report.cover_size}, prefixes checked: {len(report.trace)}")
         print("trace:")
-        for rec in report.trace:
-            shown = "{" + ", ".join(map(format_clause, rec.closure_clauses)) + "}"  # sorted by decide
+        for rec in report.trace:  # decide sorts each closure, and records a refuted one as ((),)
+            shown = "{()}" if rec.contains_empty else "{" + ", ".join(map(format_clause, rec.closure_clauses)) + "}"
             print(
                 f"  {rec.prefix} k={len(rec.prefix)} closure_size={rec.closure_size} "
                 f"empty={'yes' if rec.contains_empty else 'no'} {shown}"
@@ -390,7 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left (`| head`); devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputFormatError, InputTooSmall, CapExceeded, GeneratorExhausted,
             FileNotFoundError, IsADirectoryError, PermissionError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -662,6 +661,7 @@ def bench_scaling(
     timeout_s: float = 60.0,
 ) -> list[BenchRow]:
     """Time decide() per pipeline step on random instances of growing n."""
+    import statistics  # here, not at the top: every CLI process imports this module
     rows = []
     for n in n_values:
         m = models_factor * n

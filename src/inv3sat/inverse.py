@@ -18,22 +18,15 @@ The candidate's closure is exactly the set of minimal clauses of width
 <= 3 that every model satisfies, so `analyze` reads it off per-variable
 model bitsets without building the raw candidate; `candidate_formula`
 builds the raw candidate from the same bitsets for the oracle and the CLI.
-Triples are read in packed lanes: one big int holds a lane per (variable,
-value), each with a guard bit on top, and one add and one AND find, for a
-shown pair pattern, every later variable whose extension no lane model
-shows.  The lanes hold at most LANE_MODELS models, a fixed sample past
-that, so they only filter and the full columns confirm every clause they
-propose: a pattern no model shows is not shown by a sample either.
-Uncapped lanes are as wide as the model count, and every lane operation
-then costs more than the per-variable ANDs they replace.
-A witness is tested (it must show no projection onto three variables
-that no model shows), and a prefix that shows one is refuted without
-resolution (it falsifies a closed clause outright), in lanes of their
-own: one per variable over the full columns, every model included, so
-the test reads nothing that step 1's sampled lanes built.  `analyze`
-also builds the instance's one prefix cover, and `walk` is the one loop
-over it: it yields each prefix with its `probe` result, `decide` stops
-at the first open prefix, and the harness reads the same generator.
+Step 1 finds triples in packed lanes over at most LANE_MODELS models,
+which only filter (`_closure`), and files each closed clause in a refuter
+table of model bitsets: one bit of it refutes a cover prefix whose
+restriction holds the empty clause, so `walk` restricts and saturates
+only the other prefixes.  A witness must show no projection onto three
+variables that no model shows, tested in lanes of its own picked columns.
+`analyze` also builds the instance's one prefix cover, and `walk` is the
+one loop over it: `decide` stops at the first open prefix, and the
+harness reads the same generator.
 `three_limited_closure` stays step 1's test reference.
 """
 
@@ -115,8 +108,9 @@ def _lane_rows(models: ModelSet) -> Sequence[str]:
     return rows if m <= LANE_MODELS else [rows[t * 2654435761 % m] for t in range(LANE_MODELS)]
 
 
-def _closure(models: ModelSet, col: list[tuple[int, int]]) -> Cnf:
-    """The 3-limited closure of the candidate, read off the columns.
+def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[int, ...], list[int]]:
+    """The 3-limited closure of the candidate, read off the columns, with
+    its clause masks and the walk's refuter table.
 
     A clause of width <= 3 is in the closure when no model shows its
     falsifying pattern and every proper sub-pattern shows up in some model:
@@ -145,6 +139,10 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> Cnf:
     The lanes hold at most LANE_MODELS models (`_lane_rows`), so they only
     filter: a pattern no model shows is not shown by the sample either,
     and each empty lane is confirmed by one AND of the full columns.
+
+    `refute[2k + c]` ORs, over the closed clauses with top variable xk whose
+    xk literal c falsifies, the models falsifying their lower literals: all
+    for a unit, else `ci` or `both`, from the full columns, never the lanes.
     """
     n, rows = len(col), _lane_rows(models)
     s, w = len(rows), len(rows) + 1
@@ -160,22 +158,31 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> Cnf:
         cut = (1 << 2 * (n - 1 - j) * w) - 1  # the lanes of x(j+2)..xn
         later.append((packed & cut & z, packed & cut & o))
         below.append(lows & cut)
-    # lane (k, c) sits at 2 * (n - k) + c for the 1-based k: its full column and the literal it adds
-    by_lane = [(col[n - 1 - l // 2][l & 1], -(n - l // 2) if l & 1 else n - l // 2) for l in range(2 * n)]
+    # literal (v, c), false when the 0-based xv = c: the literal, its slot mask and its refuter entry
+    lit = [[(v + 1, 1 << 2 * v, 2 * v + 2), (-1 - v, 2 << 2 * v, 2 * v + 3)] for v in range(n)]
+    # lane (k, c) sits at 2 * (n - k) + c for the 1-based k: its full column and its literal
+    by_lane = [(col[n - 1 - l // 2][l & 1], lit[n - 1 - l // 2][l & 1]) for l in range(2 * n)]
     guard = [(1 << (2 * (n - 1 - v) * w + s), 1 << ((2 * (n - 1 - v) + 1) * w + s)) for v in range(n)]
     pairs = [[0, 0] for _ in range(n)]
-    closed = [(-v if b else v,) for v in range(1, n + 1) for b in (0, 1) if not col[v - 1][b]]
+    units = [lit[v][c] for v in range(n) for c in (0, 1) if not col[v][c]]
+    closed, masks, refute = [(x,) for x, _, _ in units], [mx for _, mx, _ in units], [0] * (2 * n + 2)
+    for _, _, r in units:
+        refute[r] = (1 << len(models)) - 1
     for i in range(n - 2, -1, -1):
         ri, pi = spread[i], pairs[i]
         for j in range(n - 1, i, -1):
             dj, pj, low, gj = later[j], pairs[j], below[j], guard[j]
             for a, ci in enumerate(col[i]):
                 ra, pa = ri[a], pi[a]  # lane j, added to pi[a] below, is no lane of pj[b]
+                x, mx, _ = lit[i][a]
                 for b, cj in enumerate(col[j]):
                     both = ci & cj
                     if not both:
                         if ci and cj:
-                            closed.append((-1 - i if a else i + 1, -1 - j if b else j + 1))
+                            y, my, r = lit[j][b]
+                            closed.append((x, y))
+                            masks.append(mx | my)
+                            refute[r] |= ci
                         continue
                     g = pa & pj[b]
                     if g:
@@ -183,11 +190,14 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> Cnf:
                         while empty:
                             bit = empty & -empty
                             empty ^= bit
-                            ck, lit = by_lane[bit.bit_length() // w - 1]
+                            ck, (z, mz, r) = by_lane[bit.bit_length() // w - 1]
                             if not both & ck:
-                                closed.append((-1 - i if a else i + 1, -1 - j if b else j + 1, lit))
+                                y, my, _ = lit[j][b]
+                                closed.append((x, y, z))
+                                masks.append(mx | my | mz)
+                                refute[r] |= both
                     pi[a] |= gj[b]
-    return Cnf(n, frozenset(closed))
+    return Cnf(n, frozenset(closed)), tuple(masks), refute
 
 
 def candidate_formula(models: ModelSet) -> Cnf:
@@ -215,58 +225,35 @@ def candidate_formula(models: ModelSet) -> Cnf:
     return Cnf(n, frozenset(raw))
 
 
-class _Lanes(NamedTuple):
-    """The full columns in lanes of m + 1 bits, lane v at bit v * (m + 1)
-    and its top bit a guard that stays 0: `put[v][b]` is `col[v][b]` in
-    lane v, `spread[v][b]` is `col[v][b]` in each of lanes 0..v, and
-    `lows[v]` and `guards[v]` hold 2^m - 1 and the guard bit in each of
-    lanes 0..v."""
-
-    put: list[tuple[int, int]]
-    spread: list[tuple[int, int]]
-    lows: list[int]
-    guards: list[int]
-
-
-def _projection_lanes(col: list[tuple[int, int]], m: int) -> _Lanes:
-    """The lanes `_projections_occur` reads, over every model: no sample."""
-    w = m + 1
-    lanes, rep = _Lanes([], [], [], []), 0
-    for v, c in enumerate(col):
-        rep |= 1 << v * w  # a 1 at the bottom of lanes 0..v
-        lanes.put.append((c[0] << v * w, c[1] << v * w))
-        lanes.spread.append((c[0] * rep, c[1] * rep))
-        lanes.guards.append(rep << m)
-        lanes.lows.append((rep << m) - rep)
-    return lanes
-
-
-def _projections_occur(lanes: _Lanes, assignment: str) -> bool:
+def _projections_occur(col: list[tuple[int, int]], m: int, assignment: str) -> bool:
     """Whether every projection of a prefix or a full assignment onto at
-    most three variables occurs in some model: for a full assignment iff it
-    satisfies the candidate, for a prefix iff it falsifies no closed clause.
+    most three variables occurs in one of the m models: for a full
+    assignment iff it satisfies the candidate, for a prefix iff it
+    falsifies no closed clause.
 
-    `packed` holds each position's picked column in its lane.  For a
-    position k, `y` keeps in lane j <= k the models that show positions j
-    and k; ANDing the picked column of j spread over lanes 0..j leaves in
-    lane i < j the models that show i, j and k, and in lane j those of
-    (j, k) again.  Adding 2^m - 1 to each lane carries into its guard bit
-    exactly when the lane is nonzero, so one AND with the guards tests
-    pair (j, k) and every triple (i, j, k) at once, and j = k tests the
-    unit.  The last position goes first, since a cover prefix without its
-    last bit starts a model.
+    Lanes of m + 1 bits, lane v at bit v * (m + 1) and its top bit a guard
+    that stays 0: `packed` holds each position's picked column in its lane
+    and `picked[v]` spreads it over lanes 0..v.  For a position k, `y`
+    keeps in lane j <= k the models that show positions j and k; ANDing
+    `picked[j]` leaves in lane i < j the models that show i, j and k, and
+    in lane j those of (j, k) again.  Adding 2^m - 1 to each lane carries
+    into its guard bit exactly when the lane is nonzero, so one AND with
+    the guards tests pair (j, k) and every triple (i, j, k) at once, and
+    j = k tests the unit.
     """
-    packed, picked = 0, []
-    for put, spread, bit in zip(lanes.put, lanes.spread, assignment):
-        b = bit == "1"
-        packed |= put[b]
-        picked.append(spread[b])
-    lows, guards = lanes.lows, lanes.guards
+    w = m + 1
+    packed, rep, picked, guards = 0, 0, [], []
+    for v, (c, bit) in enumerate(zip(col, assignment)):
+        c = c[bit == "1"]
+        rep |= 1 << v * w  # a 1 at the bottom of lanes 0..v
+        packed |= c << v * w
+        picked.append(c * rep)
+        guards.append((rep << m, (rep << m) - rep))
     for k in range(len(picked) - 1, -1, -1):
         y = picked[k] & packed
         for j in range(k, -1, -1):
-            guard = guards[j]
-            if (picked[j] & y) + lows[j] & guard != guard:
+            guard, lows = guards[j]
+            if (picked[j] & y) + lows & guard != guard:
                 return False
     return True
 
@@ -304,20 +291,29 @@ class _Strata(Mapping):
     """Cover strata kmin..n by length, each built the first time it is
     read: stratum k flips the last bit of each length-k model prefix and
     keeps the flips that no model starts with, in first-occurrence order
-    over the models."""
+    over the models.  A nonempty stratum also keeps, per prefix, the bit
+    (`_bitsets` order) of the first model that starts its sibling."""
 
     def __init__(self, models: ModelSet, kmin: int) -> None:
-        self._models, self._lengths, self._built = models, range(kmin, models.n + 1), {}
+        self._models, self._lengths, self._built, self._bits = models, range(kmin, models.n + 1), {}, {}
 
     def __getitem__(self, k: int) -> tuple[str, ...]:
         if k not in self._built:
             if k not in self._lengths:
                 raise KeyError(k)
-            present = dict.fromkeys([m[:k] for m in self._models.models])  # ordered set
+            starts = [m[:k] for m in self._models.models]
+            present = dict.fromkeys(starts)  # ordered set
             flips = (p[:-1] + ("1" if p[-1] == "0" else "0") for p in present)
             # a list, not a generator: a tuple grown in place fragments the heap
-            self._built[k] = tuple([f for f in flips if f not in present])
+            stratum = self._built[k] = tuple([f for f in flips if f not in present])
+            if stratum:
+                first = dict(zip(reversed(starts), range(len(starts))))  # reversed: a start keeps its first model
+                self._bits[k] = tuple([first[f[:-1] + ("1" if f[-1] == "0" else "0")] for f in stratum])
         return self._built[k]
+
+    def with_bits(self, k: int) -> Iterator[tuple[str, int]]:
+        """Stratum k's prefixes, each with its sibling's first model bit."""
+        return zip(self[k], self._bits.get(k, ()))
 
     def __iter__(self):
         return iter(self._lengths)
@@ -403,18 +399,18 @@ MAX_KMIN = 4
 
 class Analysis(NamedTuple):
     """What one model set's walks need, built once and shared by them: the
-    closed candidate and its clause masks, the kmin=1 prefix cover and the
-    lanes of the projection test.
+    model columns, the closed candidate, its clause masks and refuter
+    table, and the kmin=1 prefix cover.
 
     `timings` holds the build time of steps 1 and 2; step 2 only sets up
-    the cover and the lanes, and the strata are built in step 3 as a walk
-    reaches them.
+    the cover, and the strata are built in step 3 as a walk reaches them.
     `probes` memoises `probe` per prefix: the saturated clause set and its
     counters, never the restricted set that fed them.
     """
 
     models: ModelSet
-    lanes: _Lanes
+    columns: list[tuple[int, int]]
+    refuters: list[int]
     closed: Cnf
     masks: tuple[int, ...]
     cover: PrefixCover
@@ -433,37 +429,26 @@ def analyze(models: ModelSet) -> Analysis:
     """
     start = time.perf_counter()
     columns = _columns(models)
-    closed = _closure(models, columns)
-    masks = tuple(encode_clause(c) for c in closed.clauses)
+    closed, masks, refuters = _closure(models, columns)
     built = time.perf_counter()
     cover = prefix_cover(models, 1)
-    lanes = _projection_lanes(columns, len(models))
     timings = {
         "step1_candidate_closure": built - start,
         "step2_prefix_cover": time.perf_counter() - built,
     }
-    return Analysis(models, lanes, closed, masks, cover, timings, {})
+    return Analysis(models, columns, refuters, closed, masks, cover, timings, {})
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     """Restrict the closed formula by a prefix and saturate, once per prefix.
 
     Returns the saturated clause masks (0 is the empty clause), the
-    resolvents added and the clauses deleted by subsumption.  A restriction
-    holds the empty clause exactly when some closed clause has every
-    literal false under the prefix, which is when some projection of the
-    prefix onto at most three variables occurs in no model
-    (`_projections_occur`); such a prefix is refuted without restricting or
-    saturating anything.
+    resolvents added and the clauses deleted by subsumption.
     """
     result = analysis.probes.get(prefix)
     if result is None:
-        if not _projections_occur(analysis.lanes, prefix):
-            result = _REFUTED
-        else:
-            restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
-            result = saturate_masks(restricted, analysis.models.n)
-        analysis.probes[prefix] = result
+        restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
+        result = analysis.probes[prefix] = saturate_masks(restricted, analysis.models.n)
     return result
 
 
@@ -472,13 +457,21 @@ def walk(analysis: Analysis, kmin: int = 1, deadline: float | None = None) -> It
     length >= kmin, shortest stratum first, construction order within one.
     A stratum is built only when the walk reaches it.  `deadline` is a
     wall-clock instant checked before each prefix: past it, TimeoutError.
+
+    A stratum-k prefix q + c (q starts a model) restricts to the empty
+    clause iff a closed clause has its xk literal false under c and its
+    lower literals false under q, as under every model starting q: the bit
+    of q's first model in `refuters[2k + c]`.  It yields `_REFUTED` unprobed.
     """
-    strata = analysis.cover.strata
+    strata, refuters = analysis.cover.strata, analysis.refuters
     for k in range(kmin, analysis.models.n + 1):
-        for prefix in strata[k]:
+        for prefix, bit in strata.with_bits(k):
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeoutError("prefix walk exceeded its deadline")
-            yield (prefix, *probe(analysis, prefix))
+            if refuters[2 * k + (prefix[-1] == "1")] >> bit & 1:
+                yield (prefix, *_REFUTED)
+            else:
+                yield (prefix, *probe(analysis, prefix))
 
 
 def decide(
@@ -511,18 +504,19 @@ def decide(
     witness = None
     answer = Answer.NO_EXTRA_MODEL
     for prefix, closed_masks, _, _ in walk(analysis, kmin, deadline):
+        if 0 in closed_masks:  # then saturation returned exactly {0}
+            trace.append(PrefixRecord(prefix, 1, True, ((),)))
+            continue
         clauses = tuple(sorted((decode_mask(m) for m in closed_masks), key=clause_sort_key))
-        empty = 0 in closed_masks
-        trace.append(PrefixRecord(prefix, len(closed_masks), empty, clauses))
-        if not empty:
-            # saturation keeps the restriction's models, so this is the witness of analysis.closed
-            witness = extract_witness(Cnf(models.n, frozenset(clauses)), prefix)
-            if witness in member or not _projections_occur(analysis.lanes, witness):
-                raise WitnessExtractionFailed(
-                    f"witness {witness} for prefix {prefix} failed verification"
-                )
-            answer = Answer.EXTRA_MODEL_EXISTS
-            break
+        trace.append(PrefixRecord(prefix, len(closed_masks), False, clauses))
+        # saturation keeps the restriction's models, so this is the witness of analysis.closed
+        witness = extract_witness(Cnf(models.n, frozenset(clauses)), prefix)
+        if witness in member or not _projections_occur(analysis.columns, len(models), witness):
+            raise WitnessExtractionFailed(
+                f"witness {witness} for prefix {prefix} failed verification"
+            )
+        answer = Answer.EXTRA_MODEL_EXISTS
+        break
 
     return DecisionReport(
         answer=answer,

@@ -11,7 +11,7 @@ import pytest
 from inv3sat import ModelSet, inverse, oracle_decide
 from inv3sat.cli import build_parser, main
 
-from conftest import STRATUM4_MODELS, WORKED_MODELS, parity_models
+from conftest import STRATUM4_MODELS, WORKED_MODELS, affine_models, parity_models
 
 
 @pytest.fixture
@@ -383,13 +383,39 @@ class TestRepeatedMain:
 
 class TestModuleEntryPoint:
     def test_python_m_inv3sat_is_main(self, capsys, worked_file):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-m", "inv3sat", "decide", "--input", worked_file],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_src_env())
         code, out, _ = run(capsys, "decide", "--input", worked_file)
         assert (proc.returncode, proc.stdout) == (code, out)
         assert "witness: 10111" in out
+
+    # A reader that closes the pipe early, as `| head -1` does, ends the
+    # run with exit 141 and nothing on stderr, whether the write that
+    # fails comes mid-trace or at the final flush.
+
+    def test_closed_pipe_mid_trace_exits_quietly(self, tmp_path):
+        path = tmp_path / "affine.models"
+        path.write_text("\n".join(affine_models(40, 10, seed=0).models) + "\n")
+        proc = subprocess.Popen([sys.executable, "-m", "inv3sat", "decide", "--input", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+        assert proc.stdout.readline() == b"n=40 models=1024 kmin=1\n"
+        proc.stdout.close()  # 30 725 lines are far more than the pipe holds
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+        proc.stderr.close()
+
+    def test_pipe_closed_before_the_first_write_exits_quietly(self, worked_file):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "inv3sat", "decide", "--input", worked_file],
+                                  stdout=write, stderr=subprocess.PIPE, env=_src_env(), timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _src_env():
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 class TestFuzzCommand:

@@ -439,11 +439,11 @@ class TestProjectionCheck:
     @given(st.integers(min_value=3, max_value=6).flatmap(model_sets))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_the_raw_candidate(self, ms):
-        lanes = analyze(ms).lanes
+        columns = analyze(ms).columns
         raw = candidate_formula(ms)
         for a in range(1 << ms.n):
             w = format(a, f"0{ms.n}b")
-            assert _projections_occur(lanes, w) == evaluate(raw, w), (ms.models, w)
+            assert _projections_occur(columns, len(ms), w) == evaluate(raw, w), (ms.models, w)
 
     # The lanes are m + 1 bits wide: one model, 64 and 65 models, and more,
     # over skewed sets with unshown triple patterns.
@@ -461,7 +461,7 @@ class TestProjectionCheck:
         witnesses = [decide(analysis, kmin).witness for kmin in range(1, MAX_KMIN + 1)]
         assert (m > 1) == all(witnesses)
         for a in [*ms.models, *flipped, *filter(None, witnesses)]:
-            assert _projections_occur(analysis.lanes, a) == evaluate(raw, a), (m, n, a)
+            assert _projections_occur(analysis.columns, m, a) == evaluate(raw, a), (m, n, a)
 
     def test_pattern_shown_only_off_the_lane_sample(self):
         # x1 = x2 = x3 = 1 only in one model that step 1's lane sample does
@@ -486,14 +486,13 @@ class TestProjectionCheck:
         sample = inverse._lane_rows(ms)
         assert model not in sample and not any(r.startswith("111") for r in sample)
         assert all(any(r[i] == r[j] == "1" for r in sample) for i, j in ((0, 1), (0, 2), (1, 2)))
-        sampled = inverse._projection_lanes(inverse._bitsets(sample), len(sample))
-        assert not _projections_occur(sampled, model)
+        assert not _projections_occur(inverse._bitsets(sample), len(sample), model)
 
-        lanes, raw = analyze(ms).lanes, candidate_formula(ms)
-        assert all(_projections_occur(lanes, model[:k]) for k in range(n + 1))
+        columns, raw = analyze(ms).columns, candidate_formula(ms)
+        assert all(_projections_occur(columns, m, model[:k]) for k in range(n + 1))
         for v in range(3, n):
             flip = model[:v] + ("0" if model[v] == "1" else "1") + model[v + 1 :]
-            assert _projections_occur(lanes, flip) == evaluate(raw, flip), flip
+            assert _projections_occur(columns, m, flip) == evaluate(raw, flip), flip
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("top", [False, True], ids=["bottom", "top"])
@@ -507,10 +506,10 @@ class TestProjectionCheck:
         pattern = "101"[:width]
         everything = [format(a, f"0{n}b") for a in range(1 << n)]
         ms = ModelSet(n, tuple(a for a in everything if "".join(a[v] for v in where) != pattern))
-        lanes, raw = analyze(ms).lanes, candidate_formula(ms)
+        columns, raw = analyze(ms).columns, candidate_formula(ms)
         for a in everything:
             shown = "".join(a[v] for v in where) != pattern
-            assert _projections_occur(lanes, a) == evaluate(raw, a) == shown, a
+            assert _projections_occur(columns, len(ms), a) == evaluate(raw, a) == shown, a
         _probe_matches_saturation(ms, _count_restrictions(monkeypatch))
 
 
@@ -620,10 +619,9 @@ class TestProbe:
         decide(analysis, kmin=4)
         assert analysis.probes == walked
 
-    # probe refutes a prefix outright when one of its projections onto at
-    # most three variables occurs in no model, and saturates only the other
-    # restrictions; either way it must return what restricting and
-    # saturating would.
+    # probe always restricts and saturates; walk refutes the cover prefixes
+    # whose restriction holds the empty clause without probing them.  Both
+    # must return what restricting and saturating would.
 
     def test_exhaustive_n3_every_prefix(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
@@ -635,6 +633,45 @@ class TestProbe:
         for n in range(4, 10):
             for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=30, seed=20261019)):
                 _probe_matches_saturation(ms, calls)
+
+
+class TestRefuters:
+    # walk reads each cover prefix's verdict off one bit of the refuter
+    # table that step 1 fills: it must equal whether the restriction of the
+    # closed formula holds the empty clause, at every kmin
+
+    def test_random_sets(self, monkeypatch):
+        calls = _count_restrictions(monkeypatch)
+        rng = random.Random(20261025)
+        for _ in range(400):
+            n = rng.randint(3, 12)
+            m = rng.randint(1, min(1 << n, rng.choice([4, 40, 300])))
+            ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
+            for kmin in range(1, min(MAX_KMIN, n) + 1):
+                _walk_restricts_only_open_prefixes(ms, calls, kmin)
+
+    def test_affine_sets(self, monkeypatch):
+        calls = _count_restrictions(monkeypatch)
+        for n in range(4, 17):
+            for d in range(1, min(n, 9)):
+                ms = affine_models(n, d, seed=n * d)
+                for kmin in range(1, MAX_KMIN + 1):
+                    _walk_restricts_only_open_prefixes(ms, calls, kmin)
+
+    def test_parity_instance(self, monkeypatch):
+        calls = _count_restrictions(monkeypatch)
+        for kmin in range(1, MAX_KMIN + 1):
+            _walk_restricts_only_open_prefixes(parity_models(), calls, kmin)
+
+    def test_affine_n60_walks_without_restricting(self, monkeypatch):
+        # 196 608 cover prefixes, every one refuted by its bit
+        calls = _count_restrictions(monkeypatch)
+        analysis = analyze(affine_models(60, 12, seed=0))
+        report = decide(analysis)
+        assert report.answer is Answer.NO_EXTRA_MODEL
+        assert len(report.trace) == 196_608
+        assert calls == []
+        assert analysis.probes == {}
 
 
 def _count_restrictions(monkeypatch):
@@ -650,17 +687,34 @@ def _count_restrictions(monkeypatch):
 
 def _probe_matches_saturation(ms, calls):
     # the projection test passes exactly when no closed clause is falsified
-    # outright, the probe restricts exactly those prefixes, and it returns
-    # what restricting and saturating returns
+    # outright, the probe returns what restricting and saturating returns,
+    # and the walk restricts only the open cover prefixes
     analysis = analyze(ms)
     for k in range(ms.n + 1):
         for a in range(1 << k):
             prefix = format(a, f"0{k}b") if k else ""
             restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
-            assert _projections_occur(analysis.lanes, prefix) == (0 not in restricted), (ms.models, prefix)
-            calls.clear()
+            assert _projections_occur(analysis.columns, len(ms), prefix) == (0 not in restricted), (
+                ms.models, prefix)
             assert probe(analysis, prefix) == saturate_masks(restricted, ms.n), (ms.models, prefix)
-            assert len(calls) == (0 not in restricted), (ms.models, prefix)
+    _walk_restricts_only_open_prefixes(ms, calls)
+
+
+def _walk_restricts_only_open_prefixes(ms, calls, kmin=1):
+    # walk yields each cover prefix with what restricting and saturating
+    # returns, and restricts, and memoises, exactly the prefixes whose
+    # restriction lacks the empty clause
+    analysis, opened = analyze(ms), []
+    steps = walk(analysis, kmin)
+    for prefix in prefix_cover(ms, kmin).entries():
+        restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
+        calls.clear()
+        assert next(steps) == (prefix, *saturate_masks(restricted, ms.n)), (ms.models, prefix)
+        assert len(calls) == (0 not in restricted), (ms.models, kmin, prefix)
+        if 0 not in restricted:
+            opened.append(prefix)
+    assert next(steps, None) is None
+    assert list(analysis.probes) == opened
 
 
 class TestParityCounterexample:
