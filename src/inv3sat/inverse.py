@@ -18,20 +18,21 @@ The candidate's closure is exactly the set of minimal clauses of width
 <= 3 that every model satisfies, so `analyze` reads it off per-variable
 model bitsets without building the raw candidate; `candidate_formula`
 builds the raw candidate from the same bitsets for the oracle and the CLI.
-Step 1 finds triples in packed lanes over at most LANE_MODELS models,
-which only filter (`_closure`), and files each closed clause in a refuter
-table of model bitsets: one bit of it refutes a cover prefix whose
-restriction holds the empty clause, so `walk` restricts and saturates
-only the other prefixes.  A witness must show no projection onto three
-variables that no model shows, tested in lanes of its own picked columns.
-`analyze` also builds the instance's one prefix cover, and `walk` is the
-one loop over it: `decide` stops at the first open prefix, and the
-harness reads the same generator.
+Step 1 reads the triples per literal off the pair tables of at most
+LANE_MODELS models, which only filter (`_closure`), and files each closed
+clause in a refuter table of model bitsets: one bit of it refutes a cover
+prefix whose restriction holds the empty clause, so `walk` restricts and
+saturates only the other prefixes.  A witness must show no projection
+onto three variables that no model shows, tested in lanes of its own
+picked columns.  `analyze` also builds the instance's one prefix cover,
+and `walk` is the one loop over it: `decide` stops at the first open
+prefix, and the harness reads the same generator.
 `three_limited_closure` stays step 1's test reference.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
@@ -77,7 +78,7 @@ class Answer(Enum):
     NO_EXTRA_MODEL = "no-extra-model"
 
 
-# a lane holds at most this many models: past it, a fixed scattered sample
+# step 1 builds pair tables for at most this many models: past it, a fixed scattered sample
 LANE_MODELS = 64
 
 
@@ -101,11 +102,35 @@ def _columns(models: ModelSet) -> list[tuple[int, int]]:
 
 
 def _lane_rows(models: ModelSet) -> Sequence[str]:
-    """The models the lanes hold: all of them up to LANE_MODELS, else models
-    t * 2654435761 mod m for t < LANE_MODELS (distinct, since that
-    multiplier is a prime above any m here)."""
+    """The models whose pair tables step 1 builds: all of them up to
+    LANE_MODELS, else models t * 2654435761 mod m for t < LANE_MODELS
+    (distinct, since that multiplier is a prime above any m here)."""
     rows, m = models.models, len(models)
     return rows if m <= LANE_MODELS else [rows[t * 2654435761 % m] for t in range(LANE_MODELS)]
+
+
+# the lane models' pair tables are ORed in Four-Russians tables over groups of this many
+_GROUP = 4
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_constants(n: int) -> tuple[int, int, int, list[int], list[int]]:
+    """Step 1's masks for pair tables of w = 2n rows of w bits: `zs` has bit
+    2w * v for each variable v, `spread` moves bit v there in one multiply
+    (no two of its terms meet), `reprows` has bit 0 of each row, `upper[v]`
+    the pairs on variables v <= var(l2) < var(l3); `lit` the clause literals."""
+    w = 2 * n
+    upper = sum(((1 << w) - (1 << 2 * v + 2)) * ((1 << w) + 1) << 2 * v * w for v in range(n))
+    return (sum(1 << 2 * w * v for v in range(n)), sum(1 << v * (2 * w - 1) for v in range(n)),
+            ((1 << w * w) - 1) // ((1 << w) - 1), [upper >> 2 * v * w << 2 * v * w for v in range(n + 1)],
+            [x for v in range(1, n + 1) for x in (v, -v)])
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of x's set bits, lowest first."""
+    digits, i = format(x, "b")[::-1], -1
+    while (i := digits.find("1", i + 1)) >= 0:
+        yield i
 
 
 def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[int, ...], list[int]]:
@@ -116,87 +141,77 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[i
     falsifying pattern and every proper sub-pattern shows up in some model:
     a unit when its column is 0, a pair when its two columns AND to 0 and
     neither is 0, a triple when its three columns AND to 0 and its three
-    pairwise ANDs are all nonzero.  So a pair pattern no model shows adds
-    its pair and nothing else.
+    pairwise ANDs are all nonzero.  Literal l = 2v + c is falsified by the
+    0-based xv = c: its column is `cols[l]`, its slot mask 1 << l.
 
-    Triples are found in lanes.  One big int holds a lane of s + 1 bits per
-    (variable k, value c), the last variable in lanes 0 and 1: the s lane
-    models' bits for xk = c under a guard bit that stays 0.  `rep` has a 1
-    at the bottom of every lane, so `column * rep` copies a column into
-    every lane, and adding `lows` (2^s - 1 in every lane) carries into a
-    lane's guard bit exactly when the lane is nonzero, never further.  For
-    a shown pair pattern xi = a, xj = b, `later[j][b] & spread[i][a]` holds
-    in lane (k, c) the lane models that show xi = a, xj = b, xk = c, for
-    every k after j at once, so one add and one AND with `g` leave a 0
-    guard bit on each lane that is empty although both pairs with xk = c
-    occur.  `g` ANDs two masks of `pairs`, the guard bits of the lanes
-    (k, c) after v whose pair with xv = value occurs.  A sample could miss
-    a pair and drop a lane that closes a triple, so these masks come from
-    the full columns, which the pair loop ANDs anyway: it walks i and j
-    downward, so pairs (i, k) and (j, k) with k after j are recorded before
-    (i, j) reads them, and the last variable's masks stay 0.
-
-    The lanes hold at most LANE_MODELS models (`_lane_rows`), so they only
-    filter: a pattern no model shows is not shown by the sample either,
-    and each empty lane is confirmed by one AND of the full columns.
+    Each lane model (`_lane_rows`) gets a pair table, the outer product of
+    its literal vector u with itself: bit w * l1 + l2 (w = 2n) is set iff
+    the model shows both patterns.  It is u times the sum of 2^(w * l) over
+    u's literals, `zs` plus 2^w - 1 times its bits spread to stride 2w.
+    Four-Russians tables OR the pair tables over groups of _GROUP lane
+    models, so `shown_with(x)`, the pairs shown by the lane models in
+    bitset x, costs one lookup per group.  Each pair of shown literals on
+    two variables that no lane model shows is checked once against the full
+    columns: shown off the lanes, it enters `pg`, which so holds exactly
+    the shown pairs; else it is a closed pair.  For a literal l on xi, the
+    pairs (l2, l3) on variables i < j < k whose three pairs with l occur
+    are `upper[i + 1] & pg` ANDed with the outer product of l's row of `pg`
+    with itself, the row times its bits moved to stride w (`pg >> l &
+    reprows`).  Less `shown_with(lane column of l)` they are the triples
+    no lane model shows, and one AND of the full columns confirms each.
 
     `refute[2k + c]` ORs, over the closed clauses with top variable xk whose
     xk literal c falsifies, the models falsifying their lower literals: all
-    for a unit, else `ci` or `both`, from the full columns, never the lanes.
+    for a unit, else the AND of their full columns.
     """
-    n, rows = len(col), _lane_rows(models)
-    s, w = len(rows), len(rows) + 1
-    lane = col if s == len(models) else _bitsets(rows)
-    rep = ((1 << 2 * n * w) - 1) // ((1 << w) - 1)
-    lows = rep * ((1 << s) - 1)
-    packed = 0
-    for zeros, ones in lane:
-        packed = (packed << w | ones) << w | zeros
-    spread = [(zeros * rep, ones * rep) for zeros, ones in lane]
-    later, below = [], []
-    for j, (z, o) in enumerate(spread):
-        cut = (1 << 2 * (n - 1 - j) * w) - 1  # the lanes of x(j+2)..xn
-        later.append((packed & cut & z, packed & cut & o))
-        below.append(lows & cut)
-    # literal (v, c), false when the 0-based xv = c: the literal, its slot mask and its refuter entry
-    lit = [[(v + 1, 1 << 2 * v, 2 * v + 2), (-1 - v, 2 << 2 * v, 2 * v + 3)] for v in range(n)]
-    # lane (k, c) sits at 2 * (n - k) + c for the 1-based k: its full column and its literal
-    by_lane = [(col[n - 1 - l // 2][l & 1], lit[n - 1 - l // 2][l & 1]) for l in range(2 * n)]
-    guard = [(1 << (2 * (n - 1 - v) * w + s), 1 << ((2 * (n - 1 - v) + 1) * w + s)) for v in range(n)]
-    pairs = [[0, 0] for _ in range(n)]
-    units = [lit[v][c] for v in range(n) for c in (0, 1) if not col[v][c]]
-    closed, masks, refute = [(x,) for x, _, _ in units], [mx for _, mx, _ in units], [0] * (2 * n + 2)
-    for _, _, r in units:
-        refute[r] = (1 << len(models)) - 1
-    for i in range(n - 2, -1, -1):
-        ri, pi = spread[i], pairs[i]
-        for j in range(n - 1, i, -1):
-            dj, pj, low, gj = later[j], pairs[j], below[j], guard[j]
-            for a, ci in enumerate(col[i]):
-                ra, pa = ri[a], pi[a]  # lane j, added to pi[a] below, is no lane of pj[b]
-                x, mx, _ = lit[i][a]
-                for b, cj in enumerate(col[j]):
-                    both = ci & cj
-                    if not both:
-                        if ci and cj:
-                            y, my, r = lit[j][b]
-                            closed.append((x, y))
-                            masks.append(mx | my)
-                            refute[r] |= ci
-                        continue
-                    g = pa & pj[b]
-                    if g:
-                        empty = g ^ (((dj[b] & ra) + low) & g)
-                        while empty:
-                            bit = empty & -empty
-                            empty ^= bit
-                            ck, (z, mz, r) = by_lane[bit.bit_length() // w - 1]
-                            if not both & ck:
-                                y, my, _ = lit[j][b]
-                                closed.append((x, y, z))
-                                masks.append(mx | my | mz)
-                                refute[r] |= both
-                    pi[a] |= gj[b]
+    n, rows, m = len(col), _lane_rows(models), len(models)
+    w, s, rowmask = 2 * n, len(rows), (1 << 2 * n) - 1
+    zs, spread, reprows, upper, lit = _pair_constants(n)
+    cols = [c for pair in col for c in pair]
+    lane = cols if s == m else [c for pair in _bitsets(rows) for c in pair]
+    evens, backwards, tables = _positive_slots(n), [r[::-1] for r in reversed(rows)], []
+    for g in range(0, s, _GROUP):  # lane bit t is row s - 1 - t
+        table = [0]
+        for r in backwards[g:g + _GROUP]:
+            y = int(r, 2) * spread & zs  # bit 2w * v for each xv = 1
+            pairs = (int(r, 4) + evens) * (zs + (y << w) - y)  # u: base 4 reads xv = 1 as bit 2v
+            table += [e | pairs for e in table]
+        tables.append(table)
+
+    def shown_with(x: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[x & (1 << _GROUP) - 1]
+            x >>= _GROUP
+        return out
+
+    # `heads` has bit 0 of each shown literal's row, so `shown * heads` is their outer product
+    pg, shown, heads = shown_with((1 << s) - 1), rowmask, reprows
+    closed, masks, refute = [], [], [0] * (w + 2)
+    for l, c in enumerate(cols):
+        if not c:
+            shown, heads = shown ^ 1 << l, heads ^ 1 << w * l
+            closed.append((lit[l],))
+            masks.append(1 << l)
+            refute[l + 2] = (1 << m) - 1
+    for b in _set_bits(upper[0] & shown * heads & ~pg):
+        l1, l2 = divmod(b, w)
+        if cols[l1] & cols[l2]:  # shown, though by no lane model
+            pg |= 1 << b | 1 << w * l2 + l1
+        else:
+            closed.append((lit[l1], lit[l2]))
+            masks.append(1 << l1 | 1 << l2)
+            refute[l2 + 2] |= cols[l1]
+    for l in range(w - 4):  # the literals of x1..x(n-2)
+        t = upper[l // 2 + 1] & pg & (pg >> w * l & rowmask) * (pg >> l & reprows)
+        if t and (t := t & ~shown_with(lane[l])):
+            x, cx, mx = lit[l], cols[l], 1 << l
+            for b in _set_bits(t):
+                l2, l3 = divmod(b, w)
+                if not (both := cx & cols[l2]) & cols[l3]:
+                    closed.append((x, lit[l2], lit[l3]))
+                    masks.append(mx | 1 << l2 | 1 << l3)
+                    refute[l3 + 2] |= both
     return Cnf(n, frozenset(closed)), tuple(masks), refute
 
 

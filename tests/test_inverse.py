@@ -22,7 +22,7 @@ from inv3sat import (
     three_limited_closure,
 )
 from inv3sat import inverse
-from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
+from inv3sat.closure import decode_mask, encode_clause, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
 from inv3sat.inverse import MAX_KMIN, _projections_occur, analyze, probe, walk
@@ -211,6 +211,67 @@ class TestClosedCandidate:
     @settings(max_examples=40, deadline=None)
     def test_matches_definition_past_the_lanes(self, ms):
         assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms)
+
+
+def _assert_closure_outputs(ms):
+    """`_closure`'s clause masks and refuter table against their definitions,
+    the refuters computed from the model strings (first model in the top bit)."""
+    closed, masks, refute = inverse._closure(ms, inverse._columns(ms))
+    assert len(masks) == len(set(masks)) == len(closed.clauses)
+    assert set(masks) == {encode_clause(c) for c in closed.clauses}
+    m, want = len(ms), [0] * (2 * ms.n + 2)
+    for *lower, top in closed.clauses:
+        for r, model in enumerate(ms.models):
+            if not any(satisfies_clause((x,), model) for x in lower):  # all models for a unit
+                want[2 * abs(top) + (top < 0)] |= 1 << m - 1 - r
+    assert refute == want, ms.models
+
+
+class TestClosureKernel:
+    # step 1's pair tables come in groups of four lane models, past
+    # LANE_MODELS models the lanes hold a sample, and its constants are
+    # cached per n: the sets below cross each of those boundaries.
+
+    def test_outputs_exhaustive_n3(self):
+        for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
+            _assert_closure_outputs(ms)
+
+    def test_outputs_random_n4_to_n10(self):
+        for n in range(4, 11):
+            for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=30, seed=20261020)):
+                _assert_closure_outputs(ms)
+
+    def test_outputs_affine_and_parity(self):
+        for n in range(5, 17, 3):
+            for d in range(1, min(n - 1, 9), 2):
+                _assert_closure_outputs(affine_models(n, d, seed=2))
+        _assert_closure_outputs(parity_models())
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_partial_table_groups_match_definition(self, m):
+        rng = random.Random(20261020 + m)
+        for n in (3, 7, 12):
+            if m <= 1 << n:
+                ms = _biased_models(rng, n, m, 0.5)
+                assert analyze(ms).closed.clauses == _minimal_satisfied_clauses(ms), ms.models
+                _assert_closure_outputs(ms)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 100, 300])
+    def test_sample_sizes_match_resolution(self, m):
+        rng = random.Random(20261021 + m)
+        for n, one in ((12, 0.8), (16, 0.9), (24, 0.5)):
+            ms = _biased_models(rng, n, m, one)
+            _assert_closure_is_resolution(ms)
+            _assert_closure_outputs(ms)
+
+    def test_alternating_sizes_in_one_process(self):
+        rng = random.Random(20261022)
+        inverse._pair_constants.cache_clear()
+        for n, m in ((5, 20), (40, 100), (5, 12), (12, 80)):
+            ms = _biased_models(rng, n, m, 0.5)
+            _assert_closure_is_resolution(ms)
+            _assert_closure_outputs(ms)
+        assert inverse._pair_constants.cache_info().misses == 3  # the second n = 5 set reuses the first one's
 
 
 class TestPrefixSets:
