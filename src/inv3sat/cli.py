@@ -37,8 +37,6 @@ from .harness import (
     InstanceSpec,
     RANDOM_3CNF_MODELS,
     RANDOM_SUBSET,
-    bench_csv,
-    bench_scaling,
     differential_run,
     render_records,
     render_summary,
@@ -253,6 +251,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         specs.append(InstanceSpec(RANDOM_3CNF_MODELS, n, count=count, seed=args.seed))
     if not specs:
         raise InputFormatError("nothing to fuzz; pass --exhaustive, --random or --cnf-random")
+    widest = max(spec.n for spec in specs)
+    if widest > args.oracle_cap:  # the oracle scores every instance: refuse before the first one runs
+        raise InputFormatError(f"N = {widest} exceeds --oracle-cap {args.oracle_cap}")
     result = differential_run(
         specs,
         kmin=kmin,
@@ -271,38 +272,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"wrote {out / 'records.txt'} and {out / 'summary.json'}")
     if args.json or not args.out:
         sys.stdout.write(summary if args.json else records)
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        n_values = [int(v) for v in args.n_values.split(",") if v]
-    except ValueError:
-        raise InputFormatError(f"--n-values wants comma-separated integers, got {args.n_values!r}") from None
-    if any(n < 3 for n in n_values):
-        raise InputFormatError(f"--n-values wants every N >= 3, got {args.n_values!r}")
-    if args.trials < 1:
-        raise InputFormatError(f"--trials must be at least 1, got {args.trials}")
-    if args.models_factor < 1:
-        raise InputFormatError(f"--models-factor must be at least 1, got {args.models_factor}")
-    for n in n_values:
-        if args.models_factor * n > 1 << n:
-            raise InputFormatError(
-                f"--models-factor {args.models_factor} wants more models than the 2^{n} assignments at N = {n}"
-            )
-    rows = bench_scaling(
-        n_values,
-        trials=args.trials,
-        seed=args.seed,
-        models_factor=args.models_factor,
-        timeout_s=args.timeout or 60.0,
-    )
-    text = bench_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -375,14 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collect already-closed statistics every Nth instance")
     p.add_argument("--out", default=None, help="directory for records.txt and summary.json")
     p.set_defaults(func=cmd_fuzz)
-
-    p = subs.add_parser("bench", help="scaling benchmark, CSV per step")
-    _add_flags(p, "--seed", "--timeout")
-    p.add_argument("--n-values", default="5,10,15,20,25,30", help="comma-separated variable counts")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--models-factor", type=int, default=2, help="models per instance = factor * n")
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

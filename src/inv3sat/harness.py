@@ -1,4 +1,4 @@
-"""Differential harness: generators, campaigns, shrinking, benchmarks.
+"""Differential harness: generators, campaigns, shrinking.
 
 The pipeline's completeness rests on claims strong enough to deserve
 distrust, so every campaign instance is scored against the brute-force
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .closure import (
@@ -638,75 +637,3 @@ def render_summary(result: CampaignResult) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-# -- scaling benchmark --------------------------------------------------------
-
-class BenchRow(NamedTuple):
-    n: int
-    models_per_instance: int
-    trials: int
-    median_step1_s: float
-    median_step2_s: float
-    median_step3_s: float
-    median_total_s: float
-    max_total_s: float
-    timeouts: int
-
-
-def bench_scaling(
-    n_values: Iterable[int],
-    trials: int = 3,
-    seed: int = 0,
-    models_factor: int = 2,
-    timeout_s: float = 60.0,
-) -> list[BenchRow]:
-    """Time decide() per pipeline step on random instances of growing n."""
-    import statistics  # here, not at the top: every CLI process imports this module
-    rows = []
-    for n in n_values:
-        m = models_factor * n
-        s1: list[float] = []
-        s2: list[float] = []
-        s3: list[float] = []
-        totals: list[float] = []
-        timeouts = 0
-        for t in range(trials):
-            spec = InstanceSpec(RANDOM_SUBSET, n, m=m, seed=derive_seed(seed, n * 1000 + t))
-            _, ms = _gen_random_subset(spec, 0)
-            start = time.perf_counter()
-            try:
-                report = decide(ms, kmin=1, deadline=start + timeout_s)
-            except TimeoutError:
-                timeouts += 1
-                continue
-            s1.append(report.timings["step1_candidate_closure"])
-            s2.append(report.timings["step2_prefix_cover"])
-            s3.append(report.timings["step3_prefix_walk"])
-            totals.append(sum(report.timings.values()))
-        rows.append(
-            BenchRow(
-                n=n,
-                models_per_instance=m,
-                trials=trials,
-                median_step1_s=statistics.median(s1) if s1 else float("nan"),
-                median_step2_s=statistics.median(s2) if s2 else float("nan"),
-                median_step3_s=statistics.median(s3) if s3 else float("nan"),
-                median_total_s=statistics.median(totals) if totals else float("nan"),
-                max_total_s=max(totals) if totals else float("nan"),
-                timeouts=timeouts,
-            )
-        )
-    return rows
-
-
-def bench_csv(rows: Iterable[BenchRow]) -> str:
-    lines = [
-        "n,models,trials,median_step1_s,median_step2_s,median_step3_s,median_total_s,max_total_s,timeouts"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.models_per_instance},{r.trials},"
-            f"{r.median_step1_s:.6f},{r.median_step2_s:.6f},{r.median_step3_s:.6f},"
-            f"{r.median_total_s:.6f},{r.max_total_s:.6f},{r.timeouts}"
-        )
-    return "\n".join(lines) + "\n"

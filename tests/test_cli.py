@@ -42,7 +42,6 @@ COMMAND_FLAGS = {
     "decide": ("--input", "--kmin", "--paper-mode", "--json", "--verbose", "--timeout"),
     "oracle": ("--input", "--oracle-cap", "--json"),
     "fuzz": ("--kmin", "--paper-mode", "--seed", "--oracle-cap", "--json"),
-    "bench": ("--seed", "--timeout"),
 }
 FLAG_ARGS = {
     "--kmin": ("--kmin", "2"),
@@ -63,7 +62,7 @@ UNREAD_FLAGS = [
 
 class TestFlags:
     def test_unread_flag_count(self):
-        assert len(UNREAD_FLAGS) == 29
+        assert len(UNREAD_FLAGS) == 24
 
     @pytest.mark.parametrize("command", COMMAND_FLAGS)
     def test_read_flags_parse(self, command):
@@ -280,13 +279,12 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["decide", "bench"])
+    @pytest.mark.parametrize("command", ["decide"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
     def test_timeout_must_be_finite_and_positive(self, capsys, worked_file, command, value):
         # 0 and nan would turn the deadline off, a negative one would expire at once
-        rest = ["--input", worked_file] if command == "decide" else ["--n-values", "5", "--trials", "1"]
         with pytest.raises(SystemExit) as exc:
-            main([command, *rest, f"--timeout={value}"])
+            main([command, "--input", worked_file, f"--timeout={value}"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -313,8 +311,11 @@ class TestErrorPaths:
             assert ("larger" in err) == (kmin > 4)
 
     def test_unknown_command_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["no-such-command"])
+        for command in ("no-such-command", "bench"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -479,46 +480,23 @@ class TestFuzzCommand:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--random", "6:3000", "--random", "30:1"], ["--exhaustive", "4", "--oracle-cap", "3"]],
+        ids=["random-above-default-cap", "exhaustive-above-cap"],
+    )
+    def test_family_above_oracle_cap_exits_2_before_any_work(self, capsys, monkeypatch, argv):
+        from inv3sat import harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no instance may be generated")
+
+        monkeypatch.setattr(harness, "generate_with_ids", refuse)
+        code, out, err = run(capsys, "fuzz", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--oracle-cap" in err
+
     def test_jobs_is_a_fuzz_flag_only(self, capsys, worked_file):
         with pytest.raises(SystemExit):
             main(["decide", "--input", worked_file, "--jobs", "2"])
-
-
-class TestBenchCommand:
-    def test_csv_to_stdout(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--n-values", "5", "--trials", "2"
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("n,")
-        assert lines[1].startswith("5,")
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--trials", "0"),
-            ("--trials", "-2"),
-            ("--models-factor", "0"),
-            ("--models-factor", "-1"),
-            ("--n-values", "3", "--models-factor", "3"),
-        ],
-        ids=["trials-0", "trials-negative", "factor-0", "factor-negative", "factor-beyond-cube"],
-    )
-    def test_unusable_sizes_exit_2(self, capsys, flags):
-        code, out, err = run(capsys, "bench", "--n-values", "5", "--trials", "1", *flags)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-
-    def test_models_filling_the_cube_are_accepted(self, capsys):
-        code, out, _ = run(capsys, "bench", "--n-values", "4", "--models-factor", "4", "--trials", "1")
-        assert code == 0
-        assert out.splitlines()[1].startswith("4,16,1,")
-
-    @pytest.mark.parametrize("n_values", ["0", "-3", "2"])
-    def test_n_below_3_exits_2(self, capsys, n_values):
-        code, out, err = run(capsys, "bench", f"--n-values={n_values}", "--trials", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")

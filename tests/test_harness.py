@@ -13,8 +13,6 @@ from inv3sat.harness import (
     InstanceSpec,
     RANDOM_3CNF_MODELS,
     RANDOM_SUBSET,
-    bench_csv,
-    bench_scaling,
     classify,
     derive_seed,
     differential_run,
@@ -359,21 +357,3 @@ class TestDifferentialRun:
         specs = [InstanceSpec(RANDOM_SUBSET, 5, count=20, seed=4)]
         result = differential_run(specs, kmin=1, closedness_sample=5)
         assert result.restrictions_checked > 0
-
-
-class TestBench:
-    def test_bench_rows_and_csv(self):
-        rows = bench_scaling([5, 6], trials=2, seed=1, timeout_s=30.0)
-        assert [r.n for r in rows] == [5, 6]
-        text = bench_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("n,")
-        assert len(lines) == 3
-
-    def test_bench_is_deterministic_in_shape(self):
-        a = bench_csv(bench_scaling([5], trials=2, seed=9, timeout_s=30.0))
-        b = bench_csv(bench_scaling([5], trials=2, seed=9, timeout_s=30.0))
-        # Timings differ run to run; the analyzed columns must not.
-        first_a = [line.split(",")[:3] for line in a.splitlines()]
-        first_b = [line.split(",")[:3] for line in b.splitlines()]
-        assert first_a == first_b

@@ -11,7 +11,7 @@ RECORDS = {
     "oracle": ("OracleVerdict",),
     "harness": (
         "InstanceSpec", "Examination", "BatteryResult",
-        "DiscrepancyReport", "CampaignResult", "BenchRow",
+        "DiscrepancyReport", "CampaignResult",
     ),
 }
 
