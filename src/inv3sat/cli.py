@@ -42,7 +42,6 @@ from .harness import (
     render_summary,
 )
 from .inverse import (
-    MAX_KMIN,
     Answer,
     ClosureTestFailed,
     WitnessExtractionFailed,
@@ -53,21 +52,6 @@ from .inverse import (
 )
 from .closure import three_limited_closure
 from .oracle import oracle_decide
-
-
-def _kmin(args: argparse.Namespace) -> int:
-    """The shortest cover stratum, 1..4, from --kmin or --paper-mode (default 1)."""
-    if args.kmin is not None and args.paper_mode and args.kmin != 4:
-        raise InputFormatError("--kmin and --paper-mode disagree; pick one")
-    kmin = args.kmin
-    if kmin is None:
-        kmin = 4 if args.paper_mode else 1
-    if not 1 <= kmin <= MAX_KMIN:
-        message = f"--kmin must be 1..{MAX_KMIN}, got {kmin}"
-        if kmin > MAX_KMIN:
-            message += f": a larger kmin skips stratum {MAX_KMIN}, which can hold every extra model"
-        raise InputFormatError(message)
-    return kmin
 
 
 def cmd_candidate(args: argparse.Namespace) -> int:
@@ -109,11 +93,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    kmin = _kmin(args)
     models = read_models(Path(args.input).read_text())
-    if kmin > models.n:
-        raise InputFormatError(f"--kmin {kmin} exceeds n={models.n}")
-    cover = prefix_cover(models, kmin)
+    cover = prefix_cover(models)
     if args.json:
         payload = {
             "n": cover.n,
@@ -128,15 +109,12 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    kmin = _kmin(args)
     models = read_models(Path(args.input).read_text())
-    if kmin > models.n:
-        raise InputFormatError(f"--kmin {kmin} exceeds n={models.n}")
     deadline = time.perf_counter() + args.timeout if args.timeout else None
     analysis = analyze(models)
     start = time.perf_counter()
     try:
-        report = decide(analysis, kmin=kmin, deadline=deadline)
+        report = decide(analysis, deadline=deadline)
     finally:
         # also when the walk raises (exit 3, an expired --timeout): those runs need explaining most
         if args.verbose:
@@ -232,7 +210,6 @@ def _parse_pair(value: str, flag: str) -> tuple[int, int]:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    kmin = _kmin(args)
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise InputFormatError(f"--jobs must lie in 1..{cpus}, the CPU count")
@@ -254,9 +231,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     widest = max(spec.n for spec in specs)
     if widest > args.oracle_cap:  # the oracle scores every instance: refuse before the first one runs
         raise InputFormatError(f"N = {widest} exceeds --oracle-cap {args.oracle_cap}")
+    out = Path(args.out) if args.out else None
+    if out:  # an unusable --out fails here, before the campaign runs
+        out.mkdir(parents=True, exist_ok=True)
     result = differential_run(
         specs,
-        kmin=kmin,
         jobs=args.jobs,
         cap=args.oracle_cap,
         quine_probe=args.quine_probe,
@@ -264,13 +243,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     records = render_records(result)
     summary = render_summary(result)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "records.txt").write_text(records)
         (out / "summary.json").write_text(summary)
         print(f"wrote {out / 'records.txt'} and {out / 'summary.json'}")
-    if args.json or not args.out:
+    if args.json or not out:
         sys.stdout.write(summary if args.json else records)
     return 0
 
@@ -284,8 +261,6 @@ def _seconds(value: str) -> float:
 
 _FLAGS = {
     "--input": dict(required=True, help="model set file, one 0/1 assignment per line"),
-    "--kmin": dict(type=int, default=None, help="shortest cover stratum, 1..4 (default 1)"),
-    "--paper-mode": dict(action="store_true", help="shorthand for --kmin 4"),
     "--seed": dict(type=int, default=0, help="campaign seed"),
     "--oracle-cap": dict(type=int, default=ENUMERATION_CAP, help="variable cap for enumeration"),
     "--json": dict(action="store_true", help="JSON output on stdout"),
@@ -318,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_closure)
 
     p = subs.add_parser("cover", help="list the complement-covering prefixes")
-    _add_flags(p, "--input", "--kmin", "--paper-mode", "--json")
+    _add_flags(p, "--input", "--json")
     p.set_defaults(func=cmd_cover)
 
     p = subs.add_parser("decide", help="run the full decision pipeline")
-    _add_flags(p, "--input", "--kmin", "--paper-mode", "--json", "--verbose", "--timeout")
+    _add_flags(p, "--input", "--json", "--verbose", "--timeout")
     p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("oracle", help="brute-force reference answer")
@@ -330,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("fuzz", help="differential campaign against the oracle")
-    _add_flags(p, "--kmin", "--paper-mode", "--seed", "--oracle-cap", "--json")
+    _add_flags(p, "--seed", "--oracle-cap", "--json")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
     p.add_argument("--exhaustive", type=int, action="append", metavar="N",
                    help="exhaustive sweep over all nonempty model sets of n variables")
@@ -359,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (InputFormatError, InputTooSmall, CapExceeded, GeneratorExhausted,
-            FileNotFoundError, IsADirectoryError, PermissionError, TimeoutError) as exc:
+            FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError, TimeoutError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClosureTestFailed as exc:

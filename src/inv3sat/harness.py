@@ -488,12 +488,12 @@ def differential_run(
 
     kmin must lie in 1..4 (see `decide`), else ValueError before anything
     is generated; `examine_instance` says how each instance is examined,
-    the other cover floor included.  closedness_sample=0 collects
-    already-closed-restriction statistics on every instance when
+    the other cover floor included.  The CLI always walks from 1; kmin
+    stays because the benchmark passes it by keyword.  closedness_sample=0
+    collects already-closed-restriction statistics on every instance when
     quine_probe is set and on none otherwise; a value s > 0 samples every
-    s-th instance.  Output is a pure
-    function of specs and configuration: identical runs render identical
-    reports.
+    s-th instance.  Output is a pure function of specs and configuration:
+    identical runs render identical reports.
     """
     if not 1 <= kmin <= MAX_KMIN:
         raise ValueError(f"kmin {kmin} out of range 1..{MAX_KMIN}")

@@ -11,7 +11,7 @@ import pytest
 from inv3sat import ModelSet, inverse, oracle_decide
 from inv3sat.cli import build_parser, main
 
-from conftest import STRATUM4_MODELS, WORKED_MODELS, affine_models, parity_models
+from conftest import WORKED_MODELS, affine_models, parity_models
 
 
 @pytest.fixture
@@ -38,14 +38,12 @@ def run(capsys, *argv):
 COMMAND_FLAGS = {
     "candidate": ("--input", "--json"),
     "closure": ("--input", "--json", "--verbose"),
-    "cover": ("--input", "--kmin", "--paper-mode", "--json"),
-    "decide": ("--input", "--kmin", "--paper-mode", "--json", "--verbose", "--timeout"),
+    "cover": ("--input", "--json"),
+    "decide": ("--input", "--json", "--verbose", "--timeout"),
     "oracle": ("--input", "--oracle-cap", "--json"),
-    "fuzz": ("--kmin", "--paper-mode", "--seed", "--oracle-cap", "--json"),
+    "fuzz": ("--seed", "--oracle-cap", "--json"),
 }
 FLAG_ARGS = {
-    "--kmin": ("--kmin", "2"),
-    "--paper-mode": ("--paper-mode",),
     "--seed": ("--seed", "1"),
     "--oracle-cap": ("--oracle-cap", "10"),
     "--json": ("--json",),
@@ -62,7 +60,7 @@ UNREAD_FLAGS = [
 
 class TestFlags:
     def test_unread_flag_count(self):
-        assert len(UNREAD_FLAGS) == 24
+        assert len(UNREAD_FLAGS) == 18
 
     @pytest.mark.parametrize("command", COMMAND_FLAGS)
     def test_read_flags_parse(self, command):
@@ -80,6 +78,17 @@ class TestFlags:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    @pytest.mark.parametrize("flag", [("--kmin", "4"), ("--paper-mode",)], ids=["kmin", "paper-mode"])
+    def test_retired_stratum_floor_flags_are_argparse_errors(self, capsys, worked_file, command, flag):
+        # every command walks and lists the cover from stratum 1
+        family = ["--random", "4:2"] if command == "fuzz" else ["--input", worked_file]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *family, *flag])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err
 
 
 class TestCandidateCommand:
@@ -141,49 +150,44 @@ class TestClosureCommand:
 
 
 class TestCoverCommand:
-    def test_paper_mode_strata(self, capsys, worked_file):
-        code, out, _ = run(
-            capsys, "cover", "--input", worked_file, "--paper-mode"
-        )
-        assert code == 0
-        assert out.startswith("# k=4 (4 prefixes)\n0100\n")
-        assert "# k=5 (8 prefixes)" in out
-        assert "000\n110\n" not in out
-
     def test_kmin_1_includes_short_stratum(self, capsys, worked_file):
         code, out, _ = run(capsys, "cover", "--input", worked_file)
         assert code == 0
-        assert out.startswith("# k=3 (2 prefixes)\n000\n110\n")
+        assert out == (
+            "# k=3 (2 prefixes)\n000\n110\n"
+            "# k=4 (4 prefixes)\n0100\n0111\n1000\n1011\n"
+            "# k=5 (8 prefixes)\n00101\n00110\n01010\n01100\n10010\n10100\n11101\n11110\n"
+        )
 
 
 class TestDecideCommand:
     def test_worked_text_golden(self, capsys, worked_file):
-        code, out, _ = run(
-            capsys, "decide", "--input", worked_file, "--paper-mode"
-        )
+        code, out, _ = run(capsys, "decide", "--input", worked_file)
         assert code == 0
         assert out == (
-            "n=5 models=8 kmin=4\n"
+            "n=5 models=8 kmin=1\n"
             "extra model exists: yes\n"
             "input is the exact model set of a 3-CNF: no\n"
             "witness: 10111\n"
-            "cover size: 12, prefixes checked: 2\n"
+            "cover size: 14, prefixes checked: 4\n"
             "trace:\n"
+            "  000 k=3 closure_size=1 empty=yes {()}\n"
+            "  110 k=3 closure_size=1 empty=yes {()}\n"
             "  0100 k=4 closure_size=1 empty=yes {()}\n"
             "  1011 k=4 closure_size=1 empty=no {(5)}\n"
         )
 
     def test_json_fields(self, capsys, worked_file):
-        code, out, _ = run(
-            capsys, "decide", "--input", worked_file, "--paper-mode", "--json"
-        )
+        code, out, _ = run(capsys, "decide", "--input", worked_file, "--json")
         assert code == 0
         payload = json.loads(out)
+        assert payload["kmin"] == 1
+        assert payload["cover_size"] == 14
         assert payload["answer"] == "extra-model-exists"
         assert payload["extra_model_exists"] is True
         assert payload["exactly_representable"] is False
         assert payload["witness"] == "10111"
-        assert payload["trace"][1]["closure"] == [[5]]
+        assert payload["trace"][-1]["closure"] == [[5]]
 
     def test_output_is_byte_identical_across_runs(self, capsys, worked_file):
         _, first, _ = run(capsys, "decide", "--input", worked_file)
@@ -259,19 +263,14 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "decide", "--input", str(path))
         assert code == 2
 
-    def test_kmin_paper_mode_conflict_exits_2(self, capsys, worked_file):
-        code, _, _ = run(
-            capsys, "decide", "--input", worked_file,
-            "--kmin", "2", "--paper-mode",
-        )
+    @pytest.mark.parametrize("command", ["candidate", "closure", "cover", "decide", "oracle"])
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.models"
+        path.write_bytes(b"\xff\xfe01\n")
+        code, out, err = run(capsys, command, "--input", str(path))
         assert code == 2
-
-    @pytest.mark.parametrize("command", ["cover", "fuzz"])
-    def test_kmin_paper_mode_conflict_exits_2_on_cover_and_fuzz(self, capsys, worked_file, command):
-        family = ["--input", worked_file] if command == "cover" else ["--random", "4:2"]
-        code, _, err = run(capsys, command, *family, "--kmin", "2", "--paper-mode")
-        assert code == 2
-        assert "disagree" in err
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_decide_timeout_exits_2(self, capsys, worked_file):
         code, out, err = run(capsys, "decide", "--input", worked_file, "--timeout", "1e-9")
@@ -290,25 +289,6 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("usage: ")
         assert "--timeout: want a finite number of seconds above 0" in err
-
-    def test_kmin_above_n_exits_2(self, capsys, worked_file):
-        code, _, _ = run(capsys, "decide", "--input", worked_file, "--kmin", "9")
-        assert code == 2
-
-    @pytest.mark.parametrize("command", ["cover", "decide", "fuzz"])
-    def test_kmin_above_4_exits_2(self, capsys, tmp_path, command):
-        # every extra model of this set lies under a stratum-4 prefix, so
-        # a walk from kmin 5 would call it exact
-        path = tmp_path / "stratum4.models"
-        path.write_text("\n".join(STRATUM4_MODELS) + "\n")
-        family = ["--input", str(path)] if command != "fuzz" else ["--random", "5:2"]
-        for kmin in (0, 5):
-            code, out, err = run(capsys, command, *family, "--kmin", str(kmin))
-            assert code == 2
-            assert out == ""
-            assert f"--kmin must be 1..4, got {kmin}" in err
-            # only a kmin above 4 skips stratum 4
-            assert ("larger" in err) == (kmin > 4)
 
     def test_unknown_command_is_an_argparse_error(self, capsys):
         for command in ("no-such-command", "bench"):
@@ -360,9 +340,9 @@ class TestRepeatedMain:
         calls = [
             ["candidate", "--input", worked_file],
             ["closure", "--input", worked_file, "--json"],
-            ["cover", "--input", worked_file, "--paper-mode"],
+            ["cover", "--input", worked_file, "--json"],
             ["decide", "--input", worked_file],
-            ["decide", "--input", worked_file, "--kmin", "4", "--json"],
+            ["decide", "--input", worked_file, "--json"],
             ["oracle", "--input", worked_file],
             ["cover", "--input", worked_file, "--verbose"],
             ["fuzz", "--random", "5:3", "--seed", "2"],
@@ -496,6 +476,20 @@ class TestFuzzCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "--oracle-cap" in err
+
+    @pytest.mark.parametrize("out_path", ["afile", "afile/sub"], ids=["out-is-a-file", "out-below-a-file"])
+    def test_out_path_it_cannot_make_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, out_path):
+        from inv3sat import harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no instance may be generated")
+
+        monkeypatch.setattr(harness, "generate_with_ids", refuse)
+        (tmp_path / "afile").write_text("")
+        code, out, err = run(capsys, "fuzz", "--random", "4:2", "--out", str(tmp_path / out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_jobs_is_a_fuzz_flag_only(self, capsys, worked_file):
         with pytest.raises(SystemExit):

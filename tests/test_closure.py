@@ -65,8 +65,14 @@ class TestSaturate:
         assert result.resolution_steps == 0
 
     def test_rejects_wide_input(self):
-        with pytest.raises(ValueError):
-            three_limited_closure(cnf_of(4, [(1, 2, 3, 4)]))
+        # cnf_of rejects a tautology itself, so the two tautologies reach the closure's own check
+        for formula, reason in (
+            (cnf_of(4, [(1, 2, 3, 4)]), "more than three literals"),
+            (Cnf(4, frozenset({(1, -1)})), "tautological"),
+            (Cnf(4, frozenset({(1, -1, 2)})), "tautological"),
+        ):
+            with pytest.raises(ValueError, match=reason):
+                three_limited_closure(formula)
 
     def test_idempotent_with_zero_work(self):
         f = cnf_of(5, WORKED_CANDIDATE)
