@@ -153,15 +153,19 @@ def evaluate(formula: Cnf, assignment: str) -> bool:
 
 @functools.lru_cache(maxsize=2)
 def _true_masks(n: int) -> tuple[int, ...]:
-    """_true_masks(n)[v-1] marks the assignments where variable v is 1."""
+    """_true_masks(n)[v-1] marks the assignments where variable v is 1.
+
+    Each mask is a block of ones above a block of zeros, doubled by shifts
+    until it spans all 2^n bits: each shift is linear in the mask's length,
+    where one big-int division would be quadratic (seconds at n = 20)."""
     total = 1 << n
     masks = []
     for v in range(1, n + 1):
         chunk = 1 << (n - v)
-        block = ((1 << chunk) - 1) << chunk
-        period = chunk * 2
-        reps = total // period
-        mask = block * (((1 << (reps * period)) - 1) // ((1 << period) - 1))
+        mask, width = ((1 << chunk) - 1) << chunk, 2 * chunk
+        while width < total:
+            mask |= mask << width
+            width *= 2
         masks.append(mask)
     return tuple(masks)
 

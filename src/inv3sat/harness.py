@@ -43,7 +43,7 @@ from .inverse import (
     prefix_cover,
     walk,
 )
-from .oracle import oracle_decide
+from .oracle import candidate_models, oracle_decide
 
 EXHAUSTIVE = "exhaustive"
 RANDOM_SUBSET = "random-subset"
@@ -421,7 +421,7 @@ def classify(
     battery = invariant_battery(minimized)
     classification = "PAPER-CLAIM" if battery.passed else "IMPLEMENTATION-BUG"
 
-    formula_models = mask_to_models(satisfying_mask(candidate_formula(minimized)), minimized.n, 32)
+    formula_models = mask_to_models(candidate_models(minimized), minimized.n, 32)
     if exam.error is not None:
         kind = "pipeline-error"
         detail = exam.error

@@ -17,7 +17,8 @@ returns the least extension of the prefix.
 The candidate's closure is exactly the set of minimal clauses of width
 <= 3 that every model satisfies, so `analyze` reads it off per-variable
 model bitsets without building the raw candidate; `candidate_formula`
-builds the raw candidate from the same bitsets for the oracle and the CLI.
+builds the raw candidate from the same bitsets for the CLI and the
+invariant battery.
 Step 1 reads the triples per literal off the pair tables of at most
 LANE_MODELS models, which only filter (`_closure`), and files each closed
 clause in a refuter table of model bitsets: one bit of it refutes a cover

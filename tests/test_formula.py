@@ -20,6 +20,7 @@ from inv3sat.closure import (
     saturate_masks,
 )
 from inv3sat.formula import (
+    _true_masks,
     assignment_mask,
     clause_sort_key,
     mask_to_models,
@@ -229,6 +230,11 @@ class TestTruthTables:
         assert mask_to_models(full, n) == everything
         assert assignment_mask(everything) == full
         assert mask_to_models(0, n) == ()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_true_masks_against_pointwise_definition(self, n):
+        for v, mask in enumerate(_true_masks(n), 1):
+            assert all((mask >> a & 1) == (a >> (n - v) & 1) for a in range(1 << n)), v
 
     @given(formulas(4))
     def test_prefix_window_against_pointwise_evaluation(self, f):

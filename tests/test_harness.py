@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from inv3sat import Answer, Cnf, ModelSet, decide, harness, inverse, oracle_decide
-from inv3sat.formula import prefix_window, satisfying_mask
+from inv3sat import (
+    Answer, Cnf, ModelSet, candidate_formula, decide, harness, inverse, oracle_decide,
+)
+from inv3sat.formula import mask_to_models, prefix_window, satisfying_mask
 from inv3sat.inverse import analyze
 from inv3sat.harness import (
     EXHAUSTIVE,
@@ -25,7 +27,7 @@ from inv3sat.harness import (
     shrink,
 )
 
-from conftest import WORKED_MODELS, parity_models
+from conftest import WORKED_EXTRAS, WORKED_MODELS, parity_models
 
 
 class TestSeeds:
@@ -225,6 +227,19 @@ class TestClassify:
         assert report.minimized_n == 14
         assert len(report.minimized_models) == 18
         assert report.battery_failures == ()
+        # the shrunk core has no extra model: the candidate's models are its own
+        assert report.minimized_formula_models == tuple(sorted(report.minimized_models))
+
+    def test_minimized_formula_models_list_the_candidates_models(self, monkeypatch):
+        # a core with extra models: the report lists every model of its
+        # candidate formula, ascending, members and extras alike
+        worked = ModelSet(5, WORKED_MODELS)
+        monkeypatch.setattr(harness, "shrink", lambda models, predicate: worked)
+        report = classify(examine_instance("parity", 0, parity_models(), kmin=1), 1)
+        assert report.minimized_formula_models == tuple(sorted(WORKED_MODELS + WORKED_EXTRAS))
+        assert report.minimized_formula_models == mask_to_models(
+            satisfying_mask(candidate_formula(worked)), 5
+        )
 
 
 class TestInvariantBattery:

@@ -1,15 +1,23 @@
+import ast
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from inv3sat import (
     CapExceeded,
+    InputTooSmall,
     ModelSet,
     candidate_formula,
     decide,
     evaluate,
+    oracle,
     oracle_decide,
     verify_witness,
 )
+from inv3sat.formula import satisfying_mask
+from inv3sat.oracle import candidate_models
 
 from conftest import WORKED_EXTRAS, WORKED_WITNESS
 from strategies import model_sets
@@ -48,6 +56,14 @@ class TestOracleDecide:
         with pytest.raises(CapExceeded):
             oracle_decide(worked_models, cap=4)
 
+    def test_two_variables_are_too_few(self):
+        small = ModelSet(2, ("01", "10"))
+        with pytest.raises(InputTooSmall):
+            oracle_decide(small)
+        # the cap is checked first
+        with pytest.raises(CapExceeded):
+            oracle_decide(small, cap=1)
+
     @given(model_sets(5))
     @settings(max_examples=200, deadline=None)
     def test_extras_satisfy_candidate_and_are_non_members(self, ms):
@@ -82,3 +98,61 @@ class TestVerifyWitness:
     def test_all_golden_extras_verify(self, worked_models):
         for extra in WORKED_EXTRAS:
             assert verify_witness(worked_models, extra)
+
+
+def _subset(n: int, bits: int) -> ModelSet:
+    return ModelSet(n, tuple(format(a, f"0{n}b") for a in range(1 << n) if bits >> a & 1))
+
+
+def _random_sets(seed: int):
+    """Seeded model sets at n = 5..12, with m = 1 and m = 2^n among them."""
+    rng = random.Random(seed)
+    for n in range(5, 13):
+        for m in (1, 2, 1 << n, *(rng.randint(1, min(60, 1 << n)) for _ in range(20))):
+            yield ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
+
+
+class TestCandidateModels:
+    """The oracle's truth table, read off the definition, against the one
+    the raw candidate formula gives clause by clause."""
+
+    def test_every_n3_set(self):
+        for bits in range(1, 256):
+            ms = _subset(3, bits)
+            assert candidate_models(ms) == satisfying_mask(candidate_formula(ms)), ms
+
+    def test_sampled_n4_sets(self):
+        for bits in random.Random(4).sample(range(1, 1 << 16), 2000):
+            ms = _subset(4, bits)
+            assert candidate_models(ms) == satisfying_mask(candidate_formula(ms)), ms
+
+    def test_random_sets_n5_to_12(self):
+        for ms in _random_sets(12):
+            assert candidate_models(ms) == satisfying_mask(candidate_formula(ms)), ms
+
+    def test_two_variables_are_too_few(self):
+        with pytest.raises(InputTooSmall):
+            candidate_models(ModelSet(2, ("01",)))
+
+
+class TestVerifyWitnessAgainstTheFormula:
+    def test_random_assignments(self):
+        rng = random.Random(7)
+        for ms in _random_sets(7):
+            f, members, n = candidate_formula(ms), ms.member_set(), ms.n
+            for w in [*ms.models[:2], *(format(rng.getrandbits(n), f"0{n}b") for _ in range(20))]:
+                assert verify_witness(ms, w) == (w not in members and evaluate(f, w)), (ms, w)
+
+
+def test_oracle_shares_no_code_with_the_pipeline():
+    # the oracle is the pipeline's independent reference: it may import
+    # from formula, never from the modules that compute the answer
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {m for m in imported if m and m.split(".")[-1] in ("inverse", "closure")}
+    assert "formula" in imported
