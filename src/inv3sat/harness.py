@@ -7,6 +7,10 @@ implementation invariants, and classified.  A failure that survives the
 battery on its minimized instance is evidence about the method itself
 (PAPER-CLAIM); one that does not is a plain bug (IMPLEMENTATION-BUG).
 Campaigns never abort on a broken instance: errors become reports.
+Every walk starts at stratum 1; each instance also re-answers from its
+walk's prefixes of length >= 4, the paper's floor.  The rendered reports
+keep their old floor field and summary key names, because the
+benchmark's digests hash them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .formula import (
     satisfying_mask,
 )
 from .inverse import (
-    MAX_KMIN,
     Answer,
     WitnessExtractionFailed,
     analyze,
@@ -167,30 +170,29 @@ def examine_instance(
     instance_id: str,
     seed: int,
     models: ModelSet,
-    kmin: int = 1,
     cap: int = ENUMERATION_CAP,
     quine_probe: bool = False,
     closedness_stats: bool = False,
 ) -> Examination:
     """Run pipeline and oracle on one instance and compare.
 
-    kmin is clamped to n, and the other cover floor (4 for kmin=1, else 1)
-    re-answers when n reaches it, to spot strata the shorter cover misses.
-    Optional instruments, both over `walk`: quine_probe checks, for every
-    cover prefix, that the restricted closure's empty-clause flag matches
-    satisfiability of the restriction in the oracle's truth table;
-    closedness_stats counts restrictions already closed before saturation.
+    When n >= 4, the walk's prefixes of length >= 4 (the paper's cover
+    floor) re-answer on their own; strata 1-3 never answer yes, so the two
+    must agree.  The slice stops at `decide`'s stop prefix, so it builds
+    no stratum past it.  Optional instruments, both over `walk`:
+    quine_probe checks, for every cover prefix, that the restricted
+    closure's empty-clause flag matches satisfiability of the restriction
+    in the oracle's truth table; closedness_stats counts restrictions
+    already closed before saturation.
     """
     n = models.n
-    kmin = min(kmin, n)
-    alt = 4 if kmin == 1 else 1
     analysis = analyze(models)
     error = None
     algo_answer = "error"
     witness = None
     algo_yes = False
     try:
-        report = decide(analysis, kmin=kmin)
+        report = decide(analysis)
         algo_answer = report.answer.value
         witness = report.witness
         algo_yes = report.answer is Answer.EXTRA_MODEL_EXISTS
@@ -202,11 +204,10 @@ def examine_instance(
     witness_ok = not algo_yes or bool(verdict.extra_mask >> int(witness, 2) & 1)
     agree = error is None and algo_yes == oracle_yes and witness_ok
 
-    alt_compared = alt <= n and error is None
-    alt_divergence = False
-    if alt_compared:
-        alt_yes = any(0 not in closed_masks for _, closed_masks, _, _ in walk(analysis, alt))
-        alt_divergence = alt_yes != algo_yes
+    alt_compared = n >= 4 and error is None
+    alt_divergence = alt_compared and algo_yes != any(
+        0 not in closed_masks for prefix, closed_masks, _, _ in walk(analysis) if len(prefix) >= 4
+    )
 
     quine_pairs = 0
     mismatches: list[str] = []
@@ -346,7 +347,7 @@ def invariant_battery(models: ModelSet) -> BatteryResult:
 
     masks = [encode_clause(c) for c in closed.clauses]
     # the prefixes actually walked: total() counts from the models alone
-    cover = prefix_cover(models, 1).entries()
+    cover = prefix_cover(models).entries()
     for prefix in cover:
         tm, fm = prefix_literal_masks(prefix)
         restricted = restrict_mask_clauses(masks, tm, fm)
@@ -376,7 +377,6 @@ class DiscrepancyReport(NamedTuple):
     instance_id: str
     reproduction_seed: int
     kind: str
-    kmin: int
     n: int
     models: tuple[str, ...]
     algorithm_answer: str
@@ -395,18 +395,14 @@ def _answer_word(yes: bool) -> str:
     return Answer.EXTRA_MODEL_EXISTS.value if yes else Answer.NO_EXTRA_MODEL.value
 
 
-def classify(
-    exam: Examination,
-    kmin: int,
-    cap: int = ENUMERATION_CAP,
-) -> DiscrepancyReport:
+def classify(exam: Examination, cap: int = ENUMERATION_CAP) -> DiscrepancyReport:
     """Shrink a failing instance and decide which tier it indicts."""
     start = ModelSet(exam.n, exam.models)
 
     def still_failing(ms: ModelSet) -> bool:
         try:
             probe = examine_instance(
-                "shrink-probe", 0, ms, kmin=kmin, cap=cap,
+                "shrink-probe", 0, ms, cap=cap,
                 quine_probe=bool(exam.quine_mismatch_prefixes),
             )
         except Exception:
@@ -415,7 +411,7 @@ def classify(
 
     minimized = shrink(start, still_failing)
     mini_exam = examine_instance(
-        "minimized", 0, minimized, kmin=kmin, cap=cap,
+        "minimized", 0, minimized, cap=cap,
         quine_probe=bool(exam.quine_mismatch_prefixes),
     )
     battery = invariant_battery(minimized)
@@ -436,7 +432,6 @@ def classify(
         instance_id=exam.instance_id,
         reproduction_seed=exam.seed,
         kind=kind,
-        kmin=kmin,
         n=exam.n,
         models=exam.models,
         algorithm_answer=exam.algo_answer,
@@ -455,7 +450,6 @@ def classify(
 # -- campaigns ----------------------------------------------------------------
 
 class CampaignResult(NamedTuple):
-    kmin: int
     instances: int
     agreements: int
     disagreements: int
@@ -486,17 +480,16 @@ def differential_run(
 ) -> CampaignResult:
     """Score every generated instance against the oracle and classify failures.
 
-    kmin must lie in 1..4 (see `decide`), else ValueError before anything
-    is generated; `examine_instance` says how each instance is examined,
-    the other cover floor included.  The CLI always walks from 1; kmin
-    stays because the benchmark passes it by keyword.  closedness_sample=0
-    collects already-closed-restriction statistics on every instance when
-    quine_probe is set and on none otherwise; a value s > 0 samples every
-    s-th instance.  Output is a pure function of specs and configuration:
-    identical runs render identical reports.
+    kmin must be 1, else ValueError before anything is generated;
+    `examine_instance` says how each instance is examined, the stratum-4
+    slice included.  closedness_sample=0 collects already-closed-restriction
+    statistics on every instance when quine_probe is set and on none
+    otherwise; a value s > 0 samples every s-th instance.  Output is a
+    pure function of specs and configuration: identical runs render
+    identical reports.
     """
-    if not 1 <= kmin <= MAX_KMIN:
-        raise ValueError(f"kmin {kmin} out of range 1..{MAX_KMIN}")
+    if kmin != 1:  # the argument goes with benchmark v2 (ROADMAP item 6)
+        raise ValueError(f"kmin {kmin}: every walk starts at stratum 1")
 
     def payloads() -> Iterator[tuple]:
         counter = 0
@@ -505,7 +498,7 @@ def differential_run(
                 counter += 1
                 closedness = quine_probe if closedness_sample == 0 else (counter % closedness_sample == 0)
                 # examine_instance's arguments, in order
-                yield instance_id, seed, ms, kmin, cap, quine_probe, closedness
+                yield instance_id, seed, ms, cap, quine_probe, closedness
 
     instances = agreements = disagreements = errors = 0
     yes_answers = witnesses_verified = 0
@@ -556,9 +549,8 @@ def differential_run(
             # every result is read unless one raised, and then no worker should go on
             pool.terminate()
 
-    reports = tuple(classify(exam, kmin, cap) for exam in attention)
+    reports = tuple(classify(exam, cap) for exam in attention)
     return CampaignResult(
-        kmin=kmin,
         instances=instances,
         agreements=agreements,
         disagreements=disagreements,
@@ -584,7 +576,7 @@ def render_records(result: CampaignResult) -> str:
             f"instance_id={r.instance_id}",
             f"reproduction_seed={r.reproduction_seed}",
             f"kind={r.kind}",
-            f"kmin={r.kmin}",
+            "kmin=1",
             f"n={r.n}",
             f"models={','.join(r.models)}",
             f"algorithm_answer={r.algorithm_answer}",
@@ -600,7 +592,7 @@ def render_records(result: CampaignResult) -> str:
         ]
         blocks.append("\n".join(lines))
     header = (
-        f"campaign kmin={result.kmin} instances={result.instances} "
+        f"campaign kmin=1 instances={result.instances} "
         f"agreements={result.agreements} disagreements={result.disagreements} "
         f"errors={result.errors} reports={len(result.reports)}"
     )
@@ -610,7 +602,7 @@ def render_records(result: CampaignResult) -> str:
 def render_summary(result: CampaignResult) -> str:
     """Machine-readable campaign summary (JSON, sorted keys)."""
     payload = {
-        "kmin": result.kmin,
+        "kmin": 1,
         "instances": result.instances,
         "agreements": result.agreements,
         "disagreements": result.disagreements,

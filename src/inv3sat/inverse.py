@@ -27,7 +27,10 @@ saturates only the other prefixes.  A witness must show no projection
 onto three variables that no model shows, tested in lanes of its own
 picked columns.  `analyze` also builds the instance's one prefix cover,
 and `walk` is the one loop over it: `decide` stops at the first open
-prefix, and the harness reads the same generator.
+prefix, and the harness reads the same generator.  Every walk starts at
+stratum 1.  A cover prefix of length <= 3 starts no model, so the closed
+candidate holds a clause that refutes it and strata 1-3 never answer yes;
+the paper's walk from stratum 4 is the slice of prefixes of length >= 4.
 `three_limited_closure` stays step 1's test reference.
 """
 
@@ -275,17 +278,16 @@ def _projections_occur(col: list[tuple[int, int]], m: int, assignment: str) -> b
 
 
 class PrefixCover(NamedTuple):
-    """Strata of complement-covering prefixes of `models`, from kmin up to n."""
+    """Strata 1..n of complement-covering prefixes of `models`."""
 
     n: int
-    kmin: int
     strata: Mapping[int, tuple[str, ...]]
     models: ModelSet
 
     def entries(self) -> tuple[str, ...]:
         """All prefixes, shortest stratum first, construction order within."""
         out: list[str] = []
-        for k in range(self.kmin, self.n + 1):
+        for k in range(1, self.n + 1):
             out.extend(self.strata.get(k, ()))
         return tuple(out)
 
@@ -300,18 +302,18 @@ class PrefixCover(NamedTuple):
         for d in range(self.n):
             sizes.append(present - splits[d])
             present += splits[d]
-        return sum(sizes[self.kmin - 1:])
+        return sum(sizes)
 
 
 class _Strata(Mapping):
-    """Cover strata kmin..n by length, each built the first time it is
+    """Cover strata 1..n by length, each built the first time it is
     read: stratum k flips the last bit of each length-k model prefix and
     keeps the flips that no model starts with, in first-occurrence order
     over the models.  A nonempty stratum also keeps, per prefix, the bit
     (`_bitsets` order) of the first model that starts its sibling."""
 
-    def __init__(self, models: ModelSet, kmin: int) -> None:
-        self._models, self._lengths, self._built, self._bits = models, range(kmin, models.n + 1), {}, {}
+    def __init__(self, models: ModelSet) -> None:
+        self._models, self._lengths, self._built, self._bits = models, range(1, models.n + 1), {}, {}
 
     def __getitem__(self, k: int) -> tuple[str, ...]:
         if k not in self._built:
@@ -339,12 +341,11 @@ class _Strata(Mapping):
 
 
 def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
-    """The cover strata from kmin upward; every assignment outside the
-    model set extends exactly one prefix over all strata.  kmin=1 covers
-    the whole complement; a larger kmin drops the shorter strata."""
-    if not 1 <= kmin <= models.n:
-        raise ValueError(f"kmin {kmin} out of range 1..{models.n}")
-    return PrefixCover(models.n, kmin, _Strata(models, kmin), models)
+    """The cover strata; every assignment outside the model set extends
+    exactly one prefix over all strata.  kmin must be 1, else ValueError."""
+    if kmin != 1:  # the argument goes with benchmark v2 (ROADMAP item 6)
+        raise ValueError(f"kmin {kmin}: every cover starts at stratum 1")
+    return PrefixCover(models.n, _Strata(models), models)
 
 
 class PrefixRecord(NamedTuple):
@@ -357,7 +358,6 @@ class PrefixRecord(NamedTuple):
 class DecisionReport(NamedTuple):
     answer: Answer
     witness: str | None
-    kmin: int
     n: int
     cover_size: int
     trace: tuple[PrefixRecord, ...]
@@ -408,15 +408,11 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
 # what saturate_masks returns on a clause set that holds the empty clause
 _REFUTED = (frozenset({0}), 0, 0)
 
-# strata 1-3 never answer yes, so every kmin up to 4 gives the same answer;
-# a larger kmin skips stratum 4, which can
-MAX_KMIN = 4
-
 
 class Analysis(NamedTuple):
     """What one model set's walks need, built once and shared by them: the
     model columns, the closed candidate, its clause masks and refuter
-    table, and the kmin=1 prefix cover.
+    table, and the prefix cover.
 
     `timings` holds the build time of steps 1 and 2; step 2 only sets up
     the cover, and the strata are built in step 3 as a walk reaches them.
@@ -447,7 +443,7 @@ def analyze(models: ModelSet) -> Analysis:
     columns = _columns(models)
     closed, masks, refuters = _closure(models, columns)
     built = time.perf_counter()
-    cover = prefix_cover(models, 1)
+    cover = prefix_cover(models)
     timings = {
         "step1_candidate_closure": built - start,
         "step2_prefix_cover": time.perf_counter() - built,
@@ -468,9 +464,9 @@ def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     return result
 
 
-def walk(analysis: Analysis, kmin: int = 1, deadline: float | None = None) -> Iterator[tuple]:
-    """Yield `(prefix, *probe(analysis, prefix))` for every cover prefix of
-    length >= kmin, shortest stratum first, construction order within one.
+def walk(analysis: Analysis, *, deadline: float | None = None) -> Iterator[tuple]:
+    """Yield `(prefix, *probe(analysis, prefix))` for every cover prefix,
+    shortest stratum first, construction order within one.
     A stratum is built only when the walk reaches it.  `deadline` is a
     wall-clock instant checked before each prefix: past it, TimeoutError.
 
@@ -480,7 +476,7 @@ def walk(analysis: Analysis, kmin: int = 1, deadline: float | None = None) -> It
     of q's first model in `refuters[2k + c]`.  It yields `_REFUTED` unprobed.
     """
     strata, refuters = analysis.cover.strata, analysis.refuters
-    for k in range(kmin, analysis.models.n + 1):
+    for k in range(1, analysis.models.n + 1):
         for prefix, bit in strata.with_bits(k):
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeoutError("prefix walk exceeded its deadline")
@@ -490,20 +486,15 @@ def walk(analysis: Analysis, kmin: int = 1, deadline: float | None = None) -> It
                 yield (prefix, *probe(analysis, prefix))
 
 
-def decide(
-    models: ModelSet | Analysis,
-    kmin: int = 1,
-    deadline: float | None = None,
-) -> DecisionReport:
+def decide(models: ModelSet | Analysis, *, deadline: float | None = None) -> DecisionReport:
     """Decide whether the candidate formula has a model outside the set.
 
-    Walks the analysis' cover prefixes of length >= kmin (`walk`) and
-    stops at the first prefix whose restricted closure lacks the empty
-    clause; the witness built there is checked against the definition of
-    the candidate formula (every 3-projection of the witness occurs in
-    some model, see `_projections_occur`) and against the model set before
-    it is reported, so the raw candidate is never built.  kmin must lie in
-    1..min(MAX_KMIN, n), else ValueError.  An exhausted witness search
+    Walks the analysis' cover prefixes (`walk`) and stops at the first
+    prefix whose restricted closure lacks the empty clause; the witness
+    built there is checked against the definition of the candidate formula
+    (every 3-projection of the witness occurs in some model, see
+    `_projections_occur`) and against the model set before it is reported,
+    so the raw candidate is never built.  An exhausted witness search
     raises ClosureTestFailed; a witness that fails the check raises
     WitnessExtractionFailed.  `models` may be an `analyze` result, whose
     cover and probes the walk then shares with other walks over the same
@@ -512,14 +503,12 @@ def decide(
     """
     analysis = models if isinstance(models, Analysis) else analyze(models)
     models = analysis.models
-    if not 1 <= kmin <= min(MAX_KMIN, models.n):
-        raise ValueError(f"kmin {kmin} out of range 1..{min(MAX_KMIN, models.n)}")
     start = time.perf_counter()
     member = models.member_set()
     trace: list[PrefixRecord] = []
     witness = None
     answer = Answer.NO_EXTRA_MODEL
-    for prefix, closed_masks, _, _ in walk(analysis, kmin, deadline):
+    for prefix, closed_masks, _, _ in walk(analysis, deadline=deadline):
         if 0 in closed_masks:  # then saturation returned exactly {0}
             trace.append(PrefixRecord(prefix, 1, True, ((),)))
             continue
@@ -537,9 +526,8 @@ def decide(
     return DecisionReport(
         answer=answer,
         witness=witness,
-        kmin=kmin,
         n=models.n,
-        cover_size=analysis.cover._replace(kmin=kmin).total(),  # the analysis' cover starts at 1
+        cover_size=analysis.cover.total(),
         trace=tuple(trace),
         timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
     )

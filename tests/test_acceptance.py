@@ -40,6 +40,7 @@ from conftest import (
     WORKED_CANDIDATE,
     WORKED_CLOSURE,
     WORKED_MODELS,
+    WORKED_STRATUM_3,
     WORKED_STRATUM_4,
     WORKED_STRATUM_5,
     WORKED_WITNESS,
@@ -70,14 +71,14 @@ SAMPLED_PLAN = {
 @pytest.fixture(scope="module")
 def campaign_n3():
     return differential_run(
-        [InstanceSpec(EXHAUSTIVE, 3)], kmin=1, jobs=CAMPAIGN_JOBS, quine_probe=True
+        [InstanceSpec(EXHAUSTIVE, 3)], jobs=CAMPAIGN_JOBS, quine_probe=True
     )
 
 
 @pytest.fixture(scope="module")
 def campaign_n4():
     return differential_run(
-        [InstanceSpec(EXHAUSTIVE, 4)], kmin=1, jobs=CAMPAIGN_JOBS, quine_probe=True
+        [InstanceSpec(EXHAUSTIVE, 4)], jobs=CAMPAIGN_JOBS, quine_probe=True
     )
 
 
@@ -99,7 +100,7 @@ def campaign_sampled():
                 seed=CAMPAIGN_SEED + 100 + n,
             )
         )
-    return differential_run(specs, kmin=1, jobs=CAMPAIGN_JOBS, closedness_sample=50)
+    return differential_run(specs, jobs=CAMPAIGN_JOBS, closedness_sample=50)
 
 
 def _random_narrow_formula(rng, n, max_clauses=8):
@@ -127,18 +128,23 @@ def test_c01_golden_candidate_and_closure(worked_models):
 
 
 def test_c02_golden_cover_strata(worked_models):
-    cover = prefix_cover(worked_models, kmin=4)
-    assert cover.strata.get(4) == WORKED_STRATUM_4
-    assert cover.strata.get(5) == WORKED_STRATUM_5
-    assert sorted(cover.strata) == [4, 5]
-    print("PASS golden cover strata (4 + 8 prefixes, listed order)")
+    # the paper's cover starts at stratum 4: strata 4 and 5 of the whole cover
+    cover = prefix_cover(worked_models)
+    assert cover.strata[3] == WORKED_STRATUM_3
+    assert cover.strata[4] == WORKED_STRATUM_4
+    assert cover.strata[5] == WORKED_STRATUM_5
+    assert [k for k, stratum in cover.strata.items() if stratum] == [3, 4, 5]
+    print("PASS golden cover strata (2 + 4 + 8 prefixes, listed order)")
 
 
 def test_c03_golden_decision_walk(worked_models):
-    report = decide(worked_models, kmin=4)
+    # the paper's walk is the trace's slice at or past stratum 4
+    report = decide(worked_models)
     assert report.answer is Answer.EXTRA_MODEL_EXISTS
     assert report.witness == WORKED_WITNESS
-    by_prefix = {rec.prefix: rec for rec in report.trace}
+    paper = [rec for rec in report.trace if len(rec.prefix) >= 4]
+    assert [rec.prefix for rec in paper] == ["0100", "1011"]
+    by_prefix = {rec.prefix: rec for rec in paper}
     assert by_prefix["0100"].contains_empty
     assert not by_prefix["1011"].contains_empty
     assert by_prefix["1011"].closure_clauses == ((5,),)
@@ -220,7 +226,7 @@ def test_c06_cover_exactness_exhaustive_n4():
             a for i, a in enumerate(assignments) if subset >> i & 1
         )
         ms = ModelSet(n, models)
-        cover = prefix_cover(ms, kmin=1)
+        cover = prefix_cover(ms)
         entries = set(cover.entries())
         assert cover.total() <= n * len(models), f"subset {subset}: size bound"
         members = ms.member_set()

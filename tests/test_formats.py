@@ -80,8 +80,11 @@ class TestModelsIo:
 
 class TestCoverRendering:
     def test_golden_worked_cover(self, worked_models):
-        cover = prefix_cover(worked_models, kmin=4)
+        cover = prefix_cover(worked_models)
         assert write_cover(cover) == (
+            "# k=3 (2 prefixes)\n"
+            "000\n"
+            "110\n"
             "# k=4 (4 prefixes)\n"
             "0100\n"
             "0111\n"
@@ -100,7 +103,7 @@ class TestCoverRendering:
 
     def test_empty_cover_notes_it(self):
         ms = ModelSet(3, tuple(format(a, "03b") for a in range(8)))
-        cover = prefix_cover(ms, kmin=1)
+        cover = prefix_cover(ms)
         assert "empty" in write_cover(cover)
 
 

@@ -90,7 +90,7 @@ class TestGenerators:
 class TestExamineInstance:
     def test_worked_instance_agrees(self):
         ms = ModelSet(5, WORKED_MODELS)
-        exam = examine_instance("worked", 0, ms, kmin=1)
+        exam = examine_instance("worked", 0, ms)
         assert exam.agree
         assert not exam.needs_attention()
         assert exam.algo_answer == Answer.EXTRA_MODEL_EXISTS.value
@@ -101,19 +101,20 @@ class TestExamineInstance:
 
     def test_alt_kmin_comparison_runs(self):
         ms = ModelSet(5, WORKED_MODELS)
-        exam = examine_instance("worked", 0, ms, kmin=1)
+        exam = examine_instance("worked", 0, ms)
         assert exam.alt_compared
         assert not exam.alt_divergence
 
-    def test_worked_instance_agrees_in_paper_mode(self):
-        ms = ModelSet(5, WORKED_MODELS)
-        exam = examine_instance("worked", 0, ms, kmin=4)
+    def test_n3_instance_has_no_stratum4_slice(self):
+        # below n = 4 there is no prefix of length 4 to re-answer from
+        exam = examine_instance("small", 0, ModelSet(3, ("000", "011", "101")))
         assert exam.agree
-        assert exam.algo_witness == "10111"
+        assert not exam.alt_compared
+        assert not exam.alt_divergence
 
     def test_quine_probe_counts_pairs(self):
         ms = ModelSet(5, WORKED_MODELS)
-        exam = examine_instance("worked", 0, ms, kmin=1, quine_probe=True)
+        exam = examine_instance("worked", 0, ms, quine_probe=True)
         assert exam.quine_pairs == 14
         assert exam.quine_mismatch_prefixes == ()
 
@@ -124,9 +125,9 @@ class TestExamineInstance:
         # and only the quine mismatches call for attention.
         ms = ModelSet(5, WORKED_MODELS)
         report = decide(ms)
-        monkeypatch.setattr(harness, "decide", lambda analysis, kmin: report)
+        monkeypatch.setattr(harness, "decide", lambda analysis: report)
         monkeypatch.setattr(inverse, "probe", lambda analysis, prefix: (frozenset({0}), 0, 0))
-        exam = examine_instance("worked", 0, ms, kmin=1, quine_probe=True)
+        exam = examine_instance("worked", 0, ms, quine_probe=True)
         assert exam.agree
         assert exam.quine_mismatch_prefixes == ("1011", "0111", "11101", "00101")
         assert exam.needs_attention()
@@ -142,7 +143,7 @@ class TestExamineInstance:
 
         monkeypatch.setattr(inverse, "prefix_cover", counted)
         monkeypatch.setattr(harness, "prefix_cover", counted)
-        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), kmin=1, quine_probe=True)
+        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), quine_probe=True)
         assert exam.alt_compared and exam.quine_pairs == 14
         assert len(calls) == 1
 
@@ -160,7 +161,7 @@ class TestExamineInstance:
             return seen[-1]
 
         monkeypatch.setattr(harness, "analyze", spy)
-        exam = examine_instance("wide", 0, ms, kmin=1)
+        exam = examine_instance("wide", 0, ms)
         assert exam.agree and exam.alt_compared
         assert len(seen) == 1
         assert sorted(seen[0].cover.strata._built) == list(range(1, stop + 1))
@@ -183,7 +184,7 @@ class TestExamineInstance:
     def test_closedness_stats_collected(self):
         ms = ModelSet(5, WORKED_MODELS)
         exam = examine_instance(
-            "worked", 0, ms, kmin=1, closedness_stats=True
+            "worked", 0, ms, closedness_stats=True
         )
         assert exam.checked_restrictions == 14
         assert 0 <= exam.closed_restrictions <= 14
@@ -221,7 +222,7 @@ class TestClassify:
     def test_parity_counterexample_is_a_paper_claim(self):
         # the n = 14 parity instance (ROADMAP open item 1) fails the closure
         # test, and its shrunk core passes every implementation invariant
-        report = classify(examine_instance("parity", 0, parity_models(), kmin=1), 1)
+        report = classify(examine_instance("parity", 0, parity_models()))
         assert report.classification == "PAPER-CLAIM"
         assert report.kind == "pipeline-error"
         assert report.minimized_n == 14
@@ -235,7 +236,7 @@ class TestClassify:
         # candidate formula, ascending, members and extras alike
         worked = ModelSet(5, WORKED_MODELS)
         monkeypatch.setattr(harness, "shrink", lambda models, predicate: worked)
-        report = classify(examine_instance("parity", 0, parity_models(), kmin=1), 1)
+        report = classify(examine_instance("parity", 0, parity_models()))
         assert report.minimized_formula_models == tuple(sorted(WORKED_MODELS + WORKED_EXTRAS))
         assert report.minimized_formula_models == mask_to_models(
             satisfying_mask(candidate_formula(worked)), 5
@@ -278,8 +279,8 @@ class TestInvariantBattery:
     def _cover_with(self, monkeypatch, edit):
         real = harness.prefix_cover
 
-        def faulty(models, kmin=1):
-            cover = real(models, kmin)
+        def faulty(models):
+            cover = real(models)
             return cover._replace(strata={**cover.strata, 5: edit(cover.strata[5])})
 
         monkeypatch.setattr(harness, "prefix_cover", faulty)
@@ -300,7 +301,7 @@ class TestInvariantBattery:
 class TestDifferentialRun:
     def test_small_campaign_all_agree(self):
         specs = [InstanceSpec(RANDOM_SUBSET, 5, count=40, seed=21)]
-        result = differential_run(specs, kmin=1)
+        result = differential_run(specs)
         assert result.instances == 40
         assert result.agreements == 40
         assert result.disagreements == 0
@@ -310,7 +311,7 @@ class TestDifferentialRun:
 
     def test_instances_partition_into_agree_and_disagree(self):
         specs = [InstanceSpec(RANDOM_SUBSET, 4, count=30, seed=8)]
-        result = differential_run(specs, kmin=1)
+        result = differential_run(specs)
         assert result.instances == result.agreements + result.disagreements
 
     def test_rendered_output_is_reproducible(self):
@@ -318,15 +319,15 @@ class TestDifferentialRun:
             InstanceSpec(RANDOM_SUBSET, 5, count=25, seed=2),
             InstanceSpec(RANDOM_3CNF_MODELS, 5, count=10, seed=2),
         ]
-        a = differential_run(specs, kmin=1, quine_probe=True)
-        b = differential_run(specs, kmin=1, quine_probe=True)
+        a = differential_run(specs, quine_probe=True)
+        b = differential_run(specs, quine_probe=True)
         assert render_summary(a) == render_summary(b)
         assert render_records(a) == render_records(b)
 
     def test_parallel_run_matches_serial(self):
         specs = [InstanceSpec(RANDOM_SUBSET, 5, count=30, seed=17)]
-        serial = differential_run(specs, kmin=1, jobs=1)
-        parallel = differential_run(specs, kmin=1, jobs=2)
+        serial = differential_run(specs, jobs=1)
+        parallel = differential_run(specs, jobs=2)
         assert render_summary(serial) == render_summary(parallel)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -368,7 +369,17 @@ class TestDifferentialRun:
         with pytest.raises(ValueError, match="kmin"):
             differential_run([InstanceSpec(RANDOM_SUBSET, 5, count=1)], kmin=5)
 
+    def test_kmin_other_than_1_rejected_before_generating(self, monkeypatch):
+        # every walk starts at stratum 1, so no run reports another floor
+        def unexpected(spec):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(harness, "generate_with_ids", unexpected)
+        for kmin in (0, 2, 4):
+            with pytest.raises(ValueError, match="kmin"):
+                differential_run([InstanceSpec(RANDOM_SUBSET, 3, count=2)], kmin=kmin)
+
     def test_closedness_sampling(self):
         specs = [InstanceSpec(RANDOM_SUBSET, 5, count=20, seed=4)]
-        result = differential_run(specs, kmin=1, closedness_sample=5)
+        result = differential_run(specs, closedness_sample=5)
         assert result.restrictions_checked > 0

@@ -25,7 +25,7 @@ from inv3sat import inverse
 from inv3sat.closure import decode_mask, encode_clause, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
-from inv3sat.inverse import MAX_KMIN, _projections_occur, analyze, probe, walk
+from inv3sat.inverse import _projections_occur, analyze, probe, walk
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -309,7 +309,7 @@ class TestPrefixSets:
 
 class TestPrefixCover:
     def test_full_cover_strata(self, worked_models):
-        cover = prefix_cover(worked_models, kmin=1)
+        cover = prefix_cover(worked_models)
         nonempty = {k: v for k, v in cover.strata.items() if v}
         assert nonempty == {
             3: WORKED_STRATUM_3,
@@ -317,25 +317,25 @@ class TestPrefixCover:
             5: WORKED_STRATUM_5,
         }
 
-    def test_kmin_4_drops_short_strata(self, worked_models):
-        cover = prefix_cover(worked_models, kmin=4)
-        assert sorted(cover.strata) == [4, 5]
-        assert cover.total() == 12
-
     def test_entries_order(self, worked_models):
-        cover = prefix_cover(worked_models, kmin=1)
+        cover = prefix_cover(worked_models)
         assert cover.entries() == (
             WORKED_STRATUM_3 + WORKED_STRATUM_4 + WORKED_STRATUM_5
         )
 
-    def test_kmin_bounds(self, worked_models):
-        with pytest.raises(ValueError):
-            prefix_cover(worked_models, kmin=0)
-        with pytest.raises(ValueError):
-            prefix_cover(worked_models, kmin=6)
+    def test_kmin_bounds(self, worked_models, monkeypatch):
+        # every cover starts at stratum 1: any other kmin is refused
+        # before a stratum is set up
+        def unexpected(*args):
+            raise AssertionError("set up strata")
+
+        monkeypatch.setattr(inverse, "_Strata", unexpected)
+        for kmin in (0, 2, 4, 6):
+            with pytest.raises(ValueError, match="kmin"):
+                prefix_cover(worked_models, kmin)
 
     def test_size_bound(self, worked_models):
-        cover = prefix_cover(worked_models, kmin=1)
+        cover = prefix_cover(worked_models)
         assert cover.total() <= worked_models.n * len(worked_models)
 
     @given(model_sets(5))
@@ -343,7 +343,7 @@ class TestPrefixCover:
     def test_cover_is_exact(self, ms):
         # Non-members are covered by exactly one prefix, taken at the
         # first position where they leave the model tree; members by none.
-        cover = prefix_cover(ms, kmin=1)
+        cover = prefix_cover(ms)
         members = ms.member_set()
         entries = set(cover.entries())
         for a in range(2**5):
@@ -357,7 +357,7 @@ class TestPrefixCover:
     @given(model_sets(5))
     @settings(max_examples=200, deadline=None)
     def test_cover_entries_are_distinct(self, ms):
-        cover = prefix_cover(ms, kmin=1)
+        cover = prefix_cover(ms)
         entries = cover.entries()
         assert len(entries) == len(set(entries))
         assert cover.total() == len(entries)
@@ -374,15 +374,14 @@ class TestCoverSize:
             m = rng.randint(1, min(1 << n, 40))
             # sample draws the models in random order, not sorted
             ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
-            for kmin in range(1, min(MAX_KMIN, n) + 1):
-                cover = prefix_cover(ms, kmin)
-                assert cover.total() == len(cover.entries()), (ms.models, kmin)
+            cover = prefix_cover(ms)
+            assert cover.total() == len(cover.entries()), ms.models
 
     def test_wide_walk_builds_strata_up_to_its_first_prefix(self):
         rng = random.Random(20261021)
         ms = ModelSet(40, tuple(format(a, "040b") for a in rng.sample(range(1 << 40), 100)))
         analysis = analyze(ms)
-        report = decide(analysis, kmin=1)
+        report = decide(analysis)
         assert report.answer is Answer.EXTRA_MODEL_EXISTS
         first = len(report.trace[0].prefix)
         assert sorted(analysis.cover.strata._built) == list(range(1, first + 1))
@@ -391,19 +390,21 @@ class TestCoverSize:
 
 class TestDecide:
     def test_golden_paper_walk(self, worked_models):
-        report = decide(worked_models, kmin=4)
+        # the paper walks from stratum 4: the slice of the trace at or past it
+        report = decide(worked_models)
         assert report.answer is Answer.EXTRA_MODEL_EXISTS
         assert report.witness == WORKED_WITNESS
         assert not report.exactly_representable()
-        assert report.cover_size == 12
-        assert [r.prefix for r in report.trace] == ["0100", "1011"]
-        first, second = report.trace
+        assert sum(len(p) >= 4 for p in prefix_cover(worked_models).entries()) == 12
+        paper = [r for r in report.trace if len(r.prefix) >= 4]
+        assert [r.prefix for r in paper] == ["0100", "1011"]
+        first, second = paper
         assert first.contains_empty and first.closure_clauses == ((),)
         assert not second.contains_empty
         assert second.closure_clauses == ((5,),)
 
     def test_golden_full_cover_walk(self, worked_models):
-        report = decide(worked_models, kmin=1)
+        report = decide(worked_models)
         assert report.witness == WORKED_WITNESS
         assert [r.prefix for r in report.trace] == [
             "000",
@@ -413,7 +414,7 @@ class TestDecide:
         ]
 
     def test_timings_present(self, worked_models):
-        report = decide(worked_models, kmin=1)
+        report = decide(worked_models)
         assert set(report.timings) == {
             "step1_candidate_closure",
             "step2_prefix_cover",
@@ -425,36 +426,32 @@ class TestDecide:
         models = tuple(
             s for s in (format(a, "03b") for a in range(8)) if s != "000"
         )
-        report = decide(ModelSet(3, models), kmin=1)
+        report = decide(ModelSet(3, models))
         assert report.answer is Answer.NO_EXTRA_MODEL
         assert report.witness is None
         assert report.exactly_representable()
 
     def test_full_cube_has_empty_cover(self):
         ms = ModelSet(3, tuple(format(a, "03b") for a in range(8)))
-        report = decide(ms, kmin=1)
+        report = decide(ms)
         assert report.answer is Answer.NO_EXTRA_MODEL
         assert report.cover_size == 0
         assert report.trace == ()
 
     def test_analysis_gives_the_same_report(self, worked_models):
-        direct = decide(worked_models, kmin=1)
-        shared = decide(analyze(worked_models), kmin=1)
+        direct = decide(worked_models)
+        shared = decide(analyze(worked_models))
         assert shared.answer == direct.answer
         assert shared.witness == direct.witness
         assert shared.trace == direct.trace
 
-    def test_kmin_up_to_4_agree_and_larger_is_rejected(self):
-        ms = ModelSet(5, STRATUM4_MODELS)
-        for kmin in (1, 2, 3, 4):
-            assert decide(ms, kmin=kmin).witness == STRATUM4_WITNESS
-        for kmin in (0, 5):
-            with pytest.raises(ValueError, match="kmin"):
-                decide(ms, kmin=kmin)
-
-    def test_kmin_above_n_is_rejected(self):
-        with pytest.raises(ValueError, match="kmin"):
-            decide(ModelSet(3, ("111",)), kmin=4)
+    def test_stratum4_witness_after_refuted_short_strata(self):
+        # the walk from stratum 1 refutes every shorter prefix and stops
+        # in stratum 4, where the paper's walk starts
+        report = decide(ModelSet(5, STRATUM4_MODELS))
+        assert report.witness == STRATUM4_WITNESS
+        assert len(report.trace[-1].prefix) == 4
+        assert all(r.contains_empty for r in report.trace if len(r.prefix) < 4)
 
     def test_walks_the_analysis_cover(self, worked_models, monkeypatch):
         analysis = analyze(worked_models)
@@ -463,15 +460,14 @@ class TestDecide:
             raise AssertionError("decide built a cover of its own")
 
         monkeypatch.setattr(inverse, "prefix_cover", unexpected)
-        assert decide(analysis, kmin=1).cover_size == analysis.cover.total() == 14
-        assert decide(analysis, kmin=4).cover_size == 12
+        assert decide(analysis).cover_size == analysis.cover.total() == 14
 
     def test_deadline_expiry_raises(self, worked_models):
         with pytest.raises(TimeoutError):
-            decide(worked_models, kmin=1, deadline=0.0)
+            decide(worked_models, deadline=0.0)
 
     def test_witness_is_verified_against_raw_candidate(self, worked_models):
-        report = decide(worked_models, kmin=4)
+        report = decide(worked_models)
         raw = candidate_formula(worked_models)
         assert evaluate(raw, report.witness)
         assert report.witness not in worked_models.member_set()
@@ -479,7 +475,7 @@ class TestDecide:
     def test_witness_that_is_a_model_is_rejected(self, worked_models, monkeypatch):
         monkeypatch.setattr(inverse, "extract_witness", lambda formula, prefix: WORKED_MODELS[0])
         with pytest.raises(WitnessExtractionFailed, match="failed verification") as exc:
-            decide(worked_models, kmin=1)
+            decide(worked_models)
         assert not isinstance(exc.value, ClosureTestFailed)
 
     def test_witness_falsifying_a_candidate_clause_is_rejected(self, worked_models, monkeypatch):
@@ -488,7 +484,7 @@ class TestDecide:
         assert not evaluate(candidate_formula(worked_models), "00000")
         monkeypatch.setattr(inverse, "extract_witness", lambda formula, prefix: "00000")
         with pytest.raises(WitnessExtractionFailed, match="failed verification") as exc:
-            decide(worked_models, kmin=1)
+            decide(worked_models)
         assert not isinstance(exc.value, ClosureTestFailed)
 
 
@@ -519,9 +515,9 @@ class TestProjectionCheck:
         for x in ms.models:
             v = rng.randrange(n)
             flipped.append(x[:v] + ("0" if x[v] == "1" else "1") + x[v + 1 :])
-        witnesses = [decide(analysis, kmin).witness for kmin in range(1, MAX_KMIN + 1)]
-        assert (m > 1) == all(witnesses)
-        for a in [*ms.models, *flipped, *filter(None, witnesses)]:
+        witness = decide(analysis).witness
+        assert (m > 1) == bool(witness)
+        for a in [*ms.models, *flipped] + ([witness] if witness else []):
             assert _projections_occur(analysis.columns, m, a) == evaluate(raw, a), (m, n, a)
 
     def test_pattern_shown_only_off_the_lane_sample(self):
@@ -654,14 +650,13 @@ class TestWalk:
             m = rng.randint(1, min(1 << n, 30))
             ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
             reference = analyze(ms)
-            for kmin in range(1, min(MAX_KMIN, n) + 1):
-                expected = [(p, *probe(reference, p)) for p in prefix_cover(ms, kmin).entries()]
-                assert list(walk(analyze(ms), kmin)) == expected, (ms.models, kmin)
+            expected = [(p, *probe(reference, p)) for p in prefix_cover(ms).entries()]
+            assert list(walk(analyze(ms))) == expected, ms.models
 
     def test_expired_deadline_yields_nothing(self, worked_models):
         analysis = analyze(worked_models)
         with pytest.raises(TimeoutError):
-            next(walk(analysis, 1, deadline=0.0))
+            next(walk(analysis, deadline=0.0))
         assert analysis.probes == {}
 
 
@@ -674,10 +669,11 @@ class TestProbe:
         assert 0 not in first[0]
 
     def test_walks_share_probes(self, worked_models):
+        # the harness's stratum-4 slice walks after decide, over its probes
         analysis = analyze(worked_models)
-        decide(analysis, kmin=1)
+        decide(analysis)
         walked = dict(analysis.probes)
-        decide(analysis, kmin=4)
+        assert any(0 not in masks for prefix, masks, _, _ in walk(analysis) if len(prefix) >= 4)
         assert analysis.probes == walked
 
     # probe always restricts and saturates; walk refutes the cover prefixes
@@ -699,7 +695,7 @@ class TestProbe:
 class TestRefuters:
     # walk reads each cover prefix's verdict off one bit of the refuter
     # table that step 1 fills: it must equal whether the restriction of the
-    # closed formula holds the empty clause, at every kmin
+    # closed formula holds the empty clause
 
     def test_random_sets(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
@@ -708,21 +704,17 @@ class TestRefuters:
             n = rng.randint(3, 12)
             m = rng.randint(1, min(1 << n, rng.choice([4, 40, 300])))
             ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
-            for kmin in range(1, min(MAX_KMIN, n) + 1):
-                _walk_restricts_only_open_prefixes(ms, calls, kmin)
+            _walk_restricts_only_open_prefixes(ms, calls)
 
     def test_affine_sets(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
         for n in range(4, 17):
             for d in range(1, min(n, 9)):
-                ms = affine_models(n, d, seed=n * d)
-                for kmin in range(1, MAX_KMIN + 1):
-                    _walk_restricts_only_open_prefixes(ms, calls, kmin)
+                _walk_restricts_only_open_prefixes(affine_models(n, d, seed=n * d), calls)
 
     def test_parity_instance(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
-        for kmin in range(1, MAX_KMIN + 1):
-            _walk_restricts_only_open_prefixes(parity_models(), calls, kmin)
+        _walk_restricts_only_open_prefixes(parity_models(), calls)
 
     def test_affine_n60_walks_without_restricting(self, monkeypatch):
         # 196 608 cover prefixes, every one refuted by its bit
@@ -761,17 +753,17 @@ def _probe_matches_saturation(ms, calls):
     _walk_restricts_only_open_prefixes(ms, calls)
 
 
-def _walk_restricts_only_open_prefixes(ms, calls, kmin=1):
+def _walk_restricts_only_open_prefixes(ms, calls):
     # walk yields each cover prefix with what restricting and saturating
     # returns, and restricts, and memoises, exactly the prefixes whose
     # restriction lacks the empty clause
     analysis, opened = analyze(ms), []
-    steps = walk(analysis, kmin)
-    for prefix in prefix_cover(ms, kmin).entries():
+    steps = walk(analysis)
+    for prefix in prefix_cover(ms).entries():
         restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
         calls.clear()
         assert next(steps) == (prefix, *saturate_masks(restricted, ms.n)), (ms.models, prefix)
-        assert len(calls) == (0 not in restricted), (ms.models, kmin, prefix)
+        assert len(calls) == (0 not in restricted), (ms.models, prefix)
         if 0 not in restricted:
             opened.append(prefix)
     assert next(steps, None) is None
@@ -795,7 +787,7 @@ class TestParityCounterexample:
 
     def test_decide_fails_at_0001(self, analysis):
         with pytest.raises(ClosureTestFailed, match="prefix 0001:"):
-            decide(analysis, kmin=1)
+            decide(analysis)
 
     def test_restriction_saturates_without_the_empty_clause(self, analysis):
         masks, _, _ = probe(analysis, "0001")
@@ -820,7 +812,7 @@ class TestParityCounterexample:
 
 def _short_prefixes_hit_empty_clause(ms):
     analysis = analyze(ms)
-    for prefix in prefix_cover(ms, 1).entries():
+    for prefix in prefix_cover(ms).entries():
         if len(prefix) > 3:
             break
         restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
@@ -832,8 +824,8 @@ class TestShortStrataNeedNoSaturation:
     # satisfies the clause falsified exactly by p.  That clause has width
     # <= 3, so the closed candidate holds it or a clause subsuming it, and
     # restricting by p leaves the empty clause before any saturation.  The
-    # strata below 4 therefore never answer yes, which is why kmin=1 and
-    # kmin=4 always agree.
+    # strata below 4 therefore never answer yes, which is why every walk
+    # starts at stratum 1 and the paper's walk from stratum 4 is its slice.
 
     def test_exhaustive_n3(self):
         for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):

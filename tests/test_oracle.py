@@ -78,7 +78,7 @@ class TestOracleDecide:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_decide(self, ms):
         verdict = oracle_decide(ms)
-        report = decide(ms, kmin=1)
+        report = decide(ms)
         assert report.exactly_representable() == (
             not verdict.extra_model_exists()
         )

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import inv3sat
@@ -39,3 +40,22 @@ def test_result_records_are_tuples():
         for name in names:
             record = getattr(importlib.import_module(f"inv3sat.{module}"), name)
             assert issubclass(record, tuple) and record._fields, name
+
+
+def test_no_record_carries_a_cover_floor():
+    # every walk starts at stratum 1, so no result records a floor
+    for module, names in RECORDS.items():
+        for name in names:
+            record = getattr(importlib.import_module(f"inv3sat.{module}"), name)
+            assert "kmin" not in record._fields, name
+
+
+def test_no_walk_takes_a_cover_floor():
+    from inv3sat.harness import classify, examine_instance
+    from inv3sat.inverse import decide, walk
+
+    for fn in (decide, walk, examine_instance, classify):
+        assert "kmin" not in inspect.signature(fn).parameters, fn.__name__
+    # a floor still passed by position fails instead of reading as a deadline
+    for fn in (decide, walk):
+        assert inspect.signature(fn).parameters["deadline"].kind is inspect.Parameter.KEYWORD_ONLY
