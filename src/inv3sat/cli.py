@@ -125,10 +125,12 @@ def cmd_decide(args: argparse.Namespace) -> int:
                 f"step1={t['step1_candidate_closure']:.3f}s "
                 f"step2={t['step2_prefix_cover']:.3f}s "
                 f"step3={time.perf_counter() - start:.3f}s "
+                f"open: strata={','.join(str(k) for k, bits in enumerate(analysis.opened, 1) if bits) or '-'} "
+                f"probed={len(analysis.probes)} "
                 f"closed: units={width[1]} pairs={width[2]} triples={width[3]}",
                 file=sys.stderr,
             )
-    yes = report.answer is Answer.EXTRA_MODEL_EXISTS
+    yes, trace = report.answer is Answer.EXTRA_MODEL_EXISTS, report.trace  # trace renders per read
     if args.json:
         payload = {
             "n": report.n,
@@ -138,7 +140,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
             "exactly_representable": report.exactly_representable(),
             "witness": report.witness,
             "cover_size": report.cover_size,
-            "prefixes_checked": len(report.trace),
+            "prefixes_checked": len(trace),
             "trace": [
                 {
                     "prefix": rec.prefix,
@@ -146,7 +148,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
                     "contains_empty": rec.contains_empty,
                     "closure": [list(c) for c in rec.closure_clauses],
                 }
-                for rec in report.trace
+                for rec in trace
             ],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -156,9 +158,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"input is the exact model set of a 3-CNF: {'no' if yes else 'yes'}")
         if report.witness is not None:
             print(f"witness: {report.witness}")
-        print(f"cover size: {report.cover_size}, prefixes checked: {len(report.trace)}")
+        print(f"cover size: {report.cover_size}, prefixes checked: {len(trace)}")
         print("trace:")
-        for rec in report.trace:  # decide sorts each closure, and records a refuted one as ((),)
+        for rec in trace:  # decide sorts each closure, and records a refuted one as ((),)
             shown = "{()}" if rec.contains_empty else "{" + ", ".join(map(format_clause, rec.closure_clauses)) + "}"
             print(
                 f"  {rec.prefix} k={len(rec.prefix)} closure_size={rec.closure_size} "
@@ -266,8 +268,8 @@ _FLAGS = {
     "--json": dict(action="store_true", help="JSON output on stdout"),
     "--verbose": dict(action="store_true", help="diagnostics on stderr"),
     "--timeout": dict(type=_seconds, default=None,
-                      help="deadline in seconds for the prefix walk, checked between probes; "
-                           "the candidate and closure build is not interrupted"),
+                      help="deadline in seconds for the prefix walk, checked per stratum and "
+                           "before each probe; the candidate and closure build is not interrupted"),
 }
 
 

@@ -8,7 +8,7 @@ battery on its minimized instance is evidence about the method itself
 (PAPER-CLAIM); one that does not is a plain bug (IMPLEMENTATION-BUG).
 Campaigns never abort on a broken instance: errors become reports.
 Every walk starts at stratum 1; each instance also re-answers from its
-walk's prefixes of length >= 4, the paper's floor.  The rendered reports
+open prefixes of length >= 4, the paper's floor.  The rendered reports
 keep their old floor field and summary key names, because the
 benchmark's digests hash them.
 """
@@ -43,7 +43,9 @@ from .inverse import (
     analyze,
     candidate_formula,
     decide,
+    open_prefixes,
     prefix_cover,
+    probe,
     walk,
 )
 from .oracle import candidate_models, oracle_decide
@@ -176,14 +178,13 @@ def examine_instance(
 ) -> Examination:
     """Run pipeline and oracle on one instance and compare.
 
-    When n >= 4, the walk's prefixes of length >= 4 (the paper's cover
+    When n >= 4, the open prefixes of length >= 4 (the paper's cover
     floor) re-answer on their own; strata 1-3 never answer yes, so the two
-    must agree.  The slice stops at `decide`'s stop prefix, so it builds
-    no stratum past it.  Optional instruments, both over `walk`:
-    quine_probe checks, for every cover prefix, that the restricted
-    closure's empty-clause flag matches satisfiability of the restriction
-    in the oracle's truth table; closedness_stats counts restrictions
-    already closed before saturation.
+    must agree.  Like `decide`, the slice and closedness_stats, which counts
+    restrictions already closed before saturation, read `open_prefixes`
+    and build no stratum.  quine_probe checks, over `walk`, that each cover
+    prefix's restricted closure holds the empty clause iff the restriction
+    is unsatisfiable in the oracle's truth table.
     """
     n = models.n
     analysis = analyze(models)
@@ -206,28 +207,20 @@ def examine_instance(
 
     alt_compared = n >= 4 and error is None
     alt_divergence = alt_compared and algo_yes != any(
-        0 not in closed_masks for prefix, closed_masks, _, _ in walk(analysis) if len(prefix) >= 4
+        0 not in probe(analysis, prefix)[0] for prefix in open_prefixes(analysis) if len(prefix) >= 4
     )
 
-    quine_pairs = 0
-    mismatches: list[str] = []
-    closed_restrictions = 0
-    checked_restrictions = 0
-    if quine_probe or closedness_stats:
-        for prefix, closed_masks, steps, deletions in walk(analysis):
-            if closedness_stats:
-                checked_restrictions += 1
-                if steps == 0 and deletions == 0:
-                    closed_restrictions += 1
-            if quine_probe:
-                quine_pairs += 1
-                no_empty = 0 not in closed_masks
-                # the restriction is satisfiable iff a model of the closed
-                # formula, which has the candidate's models, extends the
-                # prefix; a cover prefix starts no input model, so each is extra
-                sat = prefix_window(verdict.extra_mask, prefix, n) != 0
-                if sat != no_empty:
-                    mismatches.append(prefix)
+    checked_restrictions = closed_restrictions = 0
+    if closedness_stats:  # a prefix that a refuter bit refutes is closed before saturation
+        checked_restrictions = analysis.cover_size
+        closed_restrictions = analysis.cover_size - sum(
+            any(probe(analysis, p)[1:]) for p in open_prefixes(analysis))
+    # a restriction is satisfiable iff a model of the closed formula, so of the
+    # candidate, extends the prefix; a cover prefix starts no input model
+    mismatches = [
+        prefix for prefix, closed_masks, _, _ in (walk(analysis) if quine_probe else ())
+        if (prefix_window(verdict.extra_mask, prefix, n) != 0) == (0 in closed_masks)
+    ]
 
     return Examination(
         instance_id=instance_id,
@@ -242,7 +235,7 @@ def examine_instance(
         error=error,
         alt_compared=alt_compared,
         alt_divergence=alt_divergence,
-        quine_pairs=quine_pairs,
+        quine_pairs=analysis.cover_size if quine_probe else 0,
         quine_mismatch_prefixes=tuple(mismatches),
         closed_restrictions=closed_restrictions,
         checked_restrictions=checked_restrictions,

@@ -10,35 +10,26 @@ resolution, walking a prefix cover of the complement of phi, and testing
 each restricted closure for the empty clause.  A restriction whose closure
 stays empty-clause-free yields a witness assignment, which is checked
 against the candidate's definition (each of its 3-projections occurs in
-phi) before being reported.  The witness search runs on the saturated
-restriction, as clause masks, depth first on an explicit stack, and
-returns the least extension of the prefix.
+phi) before being reported.
 
-The candidate's closure is exactly the set of minimal clauses of width
-<= 3 that every model satisfies, so `analyze` reads it off per-variable
-model bitsets without building the raw candidate; `candidate_formula`
-builds the raw candidate from the same bitsets for the CLI and the
-invariant battery.
-Step 1 reads the triples per literal off the pair tables of at most
-LANE_MODELS models, which only filter (`_closure`), and files each closed
-clause in a refuter table of model bitsets: one bit of it refutes a cover
-prefix whose restriction holds the empty clause, so `walk` restricts and
-saturates only the other prefixes.  A witness must show no projection
-onto three variables that no model shows, tested in lanes of its own
-picked columns.  `analyze` also builds the instance's one prefix cover,
-and `walk` is the one loop over it: `decide` stops at the first open
-prefix, and the harness reads the same generator.  Every walk starts at
-stratum 1.  A cover prefix of length <= 3 starts no model, so the closed
-candidate holds a clause that refutes it and strata 1-3 never answer yes;
-the paper's walk from stratum 4 is the slice of prefixes of length >= 4.
-`three_limited_closure` stays step 1's test reference.
+`analyze` reads the closure, the minimal clauses of width <= 3 that every
+model satisfies, off per-variable model bitsets (`_closure`), and files
+each closed clause in a refuter table of model bitsets.  One partition
+refinement over the same bitsets (`_refine`) gives the cover size and, per
+stratum, the models whose flipped prefix the table leaves open, so
+`decide` probes only those prefixes and builds no stratum; its trace and
+`walk`, the per-prefix loop of the harness's quine probe, build strata
+from the model strings.  Every walk starts at stratum 1: a cover prefix
+of length <= 3 starts no model, so a closed clause refutes it, and the
+paper's walk from stratum 4 is the slice of length >= 4.
+`candidate_formula` builds the raw candidate for the CLI and the invariant
+battery; `three_limited_closure` stays step 1's test reference.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from typing import NamedTuple
@@ -130,9 +121,9 @@ def _pair_constants(n: int) -> tuple[int, int, int, list[int], list[int]]:
             [x for v in range(1, n + 1) for x in (v, -v)])
 
 
-def _set_bits(x: int) -> Iterator[int]:
-    """The positions of x's set bits, lowest first."""
-    digits, i = format(x, "b")[::-1], -1
+def _ones(digits: str) -> Iterator[int]:
+    """The positions of the 1s in a binary string, in order."""
+    i = -1
     while (i := digits.find("1", i + 1)) >= 0:
         yield i
 
@@ -198,7 +189,7 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[i
             closed.append((lit[l],))
             masks.append(1 << l)
             refute[l + 2] = (1 << m) - 1
-    for b in _set_bits(upper[0] & shown * heads & ~pg):
+    for b in _ones(format(upper[0] & shown * heads & ~pg, "b")[::-1]):
         l1, l2 = divmod(b, w)
         if cols[l1] & cols[l2]:  # shown, though by no lane model
             pg |= 1 << b | 1 << w * l2 + l1
@@ -210,7 +201,7 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[i
         t = upper[l // 2 + 1] & pg & (pg >> w * l & rowmask) * (pg >> l & reprows)
         if t and (t := t & ~shown_with(lane[l])):
             x, cx, mx = lit[l], cols[l], 1 << l
-            for b in _set_bits(t):
+            for b in _ones(format(t, "b")[::-1]):
                 l2, l3 = divmod(b, w)
                 if not (both := cx & cols[l2]) & cols[l3]:
                     closed.append((x, lit[l2], lit[l3]))
@@ -277,6 +268,30 @@ def _projections_occur(col: list[tuple[int, int]], m: int, assignment: str) -> b
     return True
 
 
+def _refine(col: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The cover's size and, per stratum k, the bitset `splits[k - 1]` of
+    the models whose group (the models sharing their (k-1)-prefix) takes
+    both values at xk, by refining the partition over the columns in order;
+    stratum k holds the groups at k - 1 less those split.  Singletons drop."""
+    groups, present, size, splits = [sum(col[0])], 1, 0, []
+    for v, (_, ones) in enumerate(col):
+        if not groups:  # the rest are singletons: no split, one prefix each per stratum
+            return size + present * (len(col) - v), splits + [0] * (len(col) - v)
+        split, cut, kept = 0, 0, []
+        for g in groups:
+            if (o := g & ones) and o != g:
+                split, cut = split | g, cut + 1
+                if o & o - 1:
+                    kept.append(o)
+                if (z := g ^ o) & z - 1:
+                    kept.append(z)
+            else:
+                kept.append(g)
+        size, present, groups = size + present - cut, present + cut, kept
+        splits.append(split)
+    return size, splits
+
+
 class PrefixCover(NamedTuple):
     """Strata 1..n of complement-covering prefixes of `models`."""
 
@@ -286,52 +301,30 @@ class PrefixCover(NamedTuple):
 
     def entries(self) -> tuple[str, ...]:
         """All prefixes, shortest stratum first, construction order within."""
-        out: list[str] = []
-        for k in range(1, self.n + 1):
-            out.extend(self.strata.get(k, ()))
-        return tuple(out)
+        return tuple([p for k in range(1, self.n + 1) for p in self.strata.get(k, ())])
 
     def total(self) -> int:
-        """The number of prefixes, counted without building a stratum.
-        Sorted, adjacent models share exactly d leading bits once per
-        length-d model prefix that both bits continue (a split), and stratum
-        d+1 holds the length-d model prefixes less the splits at d."""
-        keys = sorted(int(m, 2) for m in self.models.models)
-        splits = Counter(self.n - (a ^ b).bit_length() for a, b in zip(keys, keys[1:]))
-        sizes, present = [], 1
-        for d in range(self.n):
-            sizes.append(present - splits[d])
-            present += splits[d]
-        return sum(sizes)
+        """The number of prefixes, counted without building a stratum (`_refine`)."""
+        return _refine(_bitsets(self.models.models))[0]
 
 
 class _Strata(Mapping):
-    """Cover strata 1..n by length, each built the first time it is
-    read: stratum k flips the last bit of each length-k model prefix and
-    keeps the flips that no model starts with, in first-occurrence order
-    over the models.  A nonempty stratum also keeps, per prefix, the bit
-    (`_bitsets` order) of the first model that starts its sibling."""
+    """Cover strata 1..n by length, each built the first time it is read:
+    stratum k flips the last bit of each length-k model prefix and keeps
+    the flips that no model starts with, in first-occurrence order."""
 
     def __init__(self, models: ModelSet) -> None:
-        self._models, self._lengths, self._built, self._bits = models, range(1, models.n + 1), {}, {}
+        self._models, self._lengths, self._built = models, range(1, models.n + 1), {}
 
     def __getitem__(self, k: int) -> tuple[str, ...]:
         if k not in self._built:
             if k not in self._lengths:
                 raise KeyError(k)
-            starts = [m[:k] for m in self._models.models]
-            present = dict.fromkeys(starts)  # ordered set
+            present = dict.fromkeys(m[:k] for m in self._models.models)  # ordered set
             flips = (p[:-1] + ("1" if p[-1] == "0" else "0") for p in present)
             # a list, not a generator: a tuple grown in place fragments the heap
-            stratum = self._built[k] = tuple([f for f in flips if f not in present])
-            if stratum:
-                first = dict(zip(reversed(starts), range(len(starts))))  # reversed: a start keeps its first model
-                self._bits[k] = tuple([first[f[:-1] + ("1" if f[-1] == "0" else "0")] for f in stratum])
+            self._built[k] = tuple([f for f in flips if f not in present])
         return self._built[k]
-
-    def with_bits(self, k: int) -> Iterator[tuple[str, int]]:
-        """Stratum k's prefixes, each with its sibling's first model bit."""
-        return zip(self[k], self._bits.get(k, ()))
 
     def __iter__(self):
         return iter(self._lengths)
@@ -360,12 +353,25 @@ class DecisionReport(NamedTuple):
     witness: str | None
     n: int
     cover_size: int
-    trace: tuple[PrefixRecord, ...]
+    stop: PrefixRecord | None  # the answering prefix's record
+    strata: Mapping[int, tuple[str, ...]]
     timings: dict[str, float]
 
     def exactly_representable(self) -> bool:
         """The complementary phrasing: no extra model means phi is exact."""
         return self.answer is Answer.NO_EXTRA_MODEL
+
+    @property
+    def trace(self) -> tuple[PrefixRecord, ...]:
+        """Every cover prefix in walk order up to `stop` (or all), each before
+        it refuted: rendered per read from strata 1..len(stop.prefix) only."""
+        stop, out = self.stop, []
+        for k in range(1, (self.n if stop is None else len(stop.prefix)) + 1):
+            for prefix in self.strata[k]:
+                if stop is not None and prefix == stop.prefix:
+                    return tuple(out + [stop])
+                out.append(PrefixRecord(prefix, 1, True, ((),)))
+        return tuple(out)
 
 
 def extract_witness(formula: Cnf, prefix: str) -> str:
@@ -410,45 +416,46 @@ _REFUTED = (frozenset({0}), 0, 0)
 
 
 class Analysis(NamedTuple):
-    """What one model set's walks need, built once and shared by them: the
-    model columns, the closed candidate, its clause masks and refuter
-    table, and the prefix cover.
-
-    `timings` holds the build time of steps 1 and 2; step 2 only sets up
-    the cover, and the strata are built in step 3 as a walk reaches them.
-    `probes` memoises `probe` per prefix: the saturated clause set and its
-    counters, never the restricted set that fed them.
-    """
+    """What one model set's walks need, built once and shared by them.
+    `opened[k - 1]` has the models whose flipped k-prefix is an open cover
+    prefix; `timings` holds steps 1, the closure, and 2, size and `opened`."""
 
     models: ModelSet
     columns: list[tuple[int, int]]
-    refuters: list[int]
     closed: Cnf
     masks: tuple[int, ...]
     cover: PrefixCover
+    cover_size: int
+    opened: list[int]
     timings: dict[str, float]
     probes: dict[str, tuple[frozenset[int], int, int]]
 
 
 def analyze(models: ModelSet) -> Analysis:
-    """Build the closed candidate formula in one bitset pass, then set up the cover.
+    """Read the closed candidate formula, then the cover's size and open bitsets, off model bitsets.
 
     The closure is computed directly as the subsumption-minimal clauses of
     width <= 3 that every model satisfies, which is exactly what bounded
     resolution with subsumption deletion reaches from the candidate (the
-    k-CNF envelope of Dechter & Pearl, 1992); no resolution runs here, and
-    the raw candidate is never built.
+    k-CNF envelope of Dechter & Pearl, 1992); no resolution runs here.
+
+    If model r's group (`_refine`) does not split at xk, its models start
+    r's (k-1)-prefix q and share r's value c at xk, so p = q + (1 - c) is a
+    stratum-k cover prefix, and each one arises so.  p's restriction holds
+    the empty clause iff p falsifies a closed clause; q starts a model, which
+    satisfies them all, so that clause has top variable xk, its xk literal
+    false under 1 - c and lower literals false under q, so under all the
+    group's models: all or none lie in `refuters[2k + 1 - c]`; r is open iff not.
     """
     start = time.perf_counter()
     columns = _columns(models)
     closed, masks, refuters = _closure(models, columns)
     built = time.perf_counter()
-    cover = prefix_cover(models)
-    timings = {
-        "step1_candidate_closure": built - start,
-        "step2_prefix_cover": time.perf_counter() - built,
-    }
-    return Analysis(models, columns, refuters, closed, masks, cover, timings, {})
+    cover_size, splits = _refine(columns)
+    opened = [(ones & ~refuters[2 * k] | zeros & ~refuters[2 * k + 1]) & ~split
+              for k, ((zeros, ones), split) in enumerate(zip(columns, splits), 1)]
+    timings = {"step1_candidate_closure": built - start, "step2_prefix_cover": time.perf_counter() - built}
+    return Analysis(models, columns, closed, masks, prefix_cover(models), cover_size, opened, timings, {})
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
@@ -464,70 +471,68 @@ def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
     return result
 
 
-def walk(analysis: Analysis, *, deadline: float | None = None) -> Iterator[tuple]:
-    """Yield `(prefix, *probe(analysis, prefix))` for every cover prefix,
-    shortest stratum first, construction order within one.
-    A stratum is built only when the walk reaches it.  `deadline` is a
-    wall-clock instant checked before each prefix: past it, TimeoutError.
+def _check(deadline: float | None) -> None:
+    if deadline is not None and time.perf_counter() > deadline:
+        raise TimeoutError("prefix walk exceeded its deadline")
 
-    A stratum-k prefix q + c (q starts a model) restricts to the empty
-    clause iff a closed clause has its xk literal false under c and its
-    lower literals false under q, as under every model starting q: the bit
-    of q's first model in `refuters[2k + c]`.  It yields `_REFUTED` unprobed.
-    """
-    strata, refuters = analysis.cover.strata, analysis.refuters
+
+def open_prefixes(analysis: Analysis, *, deadline: float | None = None) -> Iterator[str]:
+    """The cover prefixes no refuter bit refutes, in walk order, building no
+    stratum: per stratum k, each open model's k-prefix with xk flipped, once,
+    first row first.  `deadline` is checked per stratum and before each one."""
+    rows = analysis.models.models
+    for k, bits in enumerate(analysis.opened, 1):
+        _check(deadline)
+        digits = format(bits, f"0{len(rows)}b") if bits else ""  # row r at digit r
+        for prefix in dict.fromkeys(rows[r][:k - 1] + "10"[rows[r][k - 1] == "1"] for r in _ones(digits)):
+            _check(deadline)
+            yield prefix
+
+
+def walk(analysis: Analysis, *, deadline: float | None = None) -> Iterator[tuple]:
+    """Yield `(prefix, *probe(analysis, prefix))` for every cover prefix in
+    walk order (`PrefixCover.entries`), but `_REFUTED` unprobed for one that
+    `open_prefixes` skips.  `deadline` is checked before each prefix."""
+    opened = set(open_prefixes(analysis))
     for k in range(1, analysis.models.n + 1):
-        for prefix, bit in strata.with_bits(k):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeoutError("prefix walk exceeded its deadline")
-            if refuters[2 * k + (prefix[-1] == "1")] >> bit & 1:
-                yield (prefix, *_REFUTED)
-            else:
-                yield (prefix, *probe(analysis, prefix))
+        for prefix in analysis.cover.strata[k]:
+            _check(deadline)
+            yield (prefix, *(probe(analysis, prefix) if prefix in opened else _REFUTED))
 
 
 def decide(models: ModelSet | Analysis, *, deadline: float | None = None) -> DecisionReport:
     """Decide whether the candidate formula has a model outside the set.
 
-    Walks the analysis' cover prefixes (`walk`) and stops at the first
-    prefix whose restricted closure lacks the empty clause; the witness
-    built there is checked against the definition of the candidate formula
-    (every 3-projection of the witness occurs in some model, see
-    `_projections_occur`) and against the model set before it is reported,
-    so the raw candidate is never built.  An exhausted witness search
-    raises ClosureTestFailed; a witness that fails the check raises
-    WitnessExtractionFailed.  `models` may be an `analyze` result, whose
-    cover and probes the walk then shares with other walks over the same
-    set; the timings of steps 1 and 2 are always the analysis' build times.
-    `deadline` is passed to `walk`.
+    Probes the prefixes of `open_prefixes`, given `deadline`, and stops at
+    the first whose restricted closure lacks the empty clause; the witness
+    built there must occur in no model and show every 3-projection in some
+    model (`_projections_occur`), so the raw candidate is never built.  An
+    exhausted witness search raises ClosureTestFailed; a witness that fails
+    the check raises WitnessExtractionFailed.  `models` may be an `analyze`
+    result, whose probes are then shared with other walks over the set.
     """
     analysis = models if isinstance(models, Analysis) else analyze(models)
     models = analysis.models
     start = time.perf_counter()
-    member = models.member_set()
-    trace: list[PrefixRecord] = []
-    witness = None
-    answer = Answer.NO_EXTRA_MODEL
-    for prefix, closed_masks, _, _ in walk(analysis, deadline=deadline):
+    witness = stop = None
+    for prefix in open_prefixes(analysis, deadline=deadline):
+        closed_masks = probe(analysis, prefix)[0]
         if 0 in closed_masks:  # then saturation returned exactly {0}
-            trace.append(PrefixRecord(prefix, 1, True, ((),)))
             continue
         clauses = tuple(sorted((decode_mask(m) for m in closed_masks), key=clause_sort_key))
-        trace.append(PrefixRecord(prefix, len(closed_masks), False, clauses))
+        stop = PrefixRecord(prefix, len(closed_masks), False, clauses)
         # saturation keeps the restriction's models, so this is the witness of analysis.closed
         witness = extract_witness(Cnf(models.n, frozenset(clauses)), prefix)
-        if witness in member or not _projections_occur(analysis.columns, len(models), witness):
-            raise WitnessExtractionFailed(
-                f"witness {witness} for prefix {prefix} failed verification"
-            )
-        answer = Answer.EXTRA_MODEL_EXISTS
+        if witness in models.member_set() or not _projections_occur(analysis.columns, len(models), witness):
+            raise WitnessExtractionFailed(f"witness {witness} for prefix {prefix} failed verification")
         break
 
     return DecisionReport(
-        answer=answer,
+        answer=Answer.NO_EXTRA_MODEL if stop is None else Answer.EXTRA_MODEL_EXISTS,
         witness=witness,
         n=models.n,
-        cover_size=analysis.cover.total(),
-        trace=tuple(trace),
+        cover_size=analysis.cover_size,
+        stop=stop,
+        strata=analysis.cover.strata,
         timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
     )

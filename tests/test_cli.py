@@ -207,6 +207,15 @@ class TestDecideCommand:
         width = Counter(map(len, inverse.analyze(ms).closed.clauses))
         assert tuple(map(int, counts.groups())) == (width[1], width[2], width[3]) == (1, 3, 4)
 
+    def test_verbose_names_no_open_stratum(self, capsys, tmp_path):
+        # the models of (x1 v x2 v x3): its refuter bit refutes the one cover
+        # prefix 000, so no stratum holds an open prefix and nothing is probed
+        path = tmp_path / "clause.models"
+        path.write_text("".join(f"{a:03b}\n" for a in range(1, 8)))
+        code, _, err = run(capsys, "decide", "--input", str(path), "--verbose")
+        assert code == 0
+        assert " open: strata=- probed=0 closed: " in err
+
     def test_no_answer_phrasing(self, capsys, tmp_path):
         path = tmp_path / "full.models"
         path.write_text("".join(f"{a:03b}\n" for a in range(8)))
@@ -319,7 +328,8 @@ class TestExitThree:
         assert code == 3
         assert out == ""
         timings, failed = err.splitlines()
-        assert re.fullmatch(r"timings: step1=\S+s step2=\S+s step3=\S+s "
+        # the new stderr field: strata holding an open prefix, prefixes probed
+        assert re.fullmatch(r"timings: step1=\S+s step2=\S+s step3=\S+s open: strata=4 probed=1 "
                             r"closed: units=0 pairs=0 triples=32", timings)
         assert failed.startswith("paper method failed: ")
 

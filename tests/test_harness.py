@@ -148,12 +148,11 @@ class TestExamineInstance:
         assert len(calls) == 1
 
     def test_walk_builds_only_the_strata_decide_reaches(self, monkeypatch):
-        # without the quine probe, neither decide nor the other floor's
-        # walk reads past the prefix where decide stopped
+        # without the quine probe, examine_instance builds no stratum: decide
+        # and the stratum-4 slice read the open prefixes off model bitsets.
+        # Rendering decide's trace builds strata 1..stop only.
         rng = random.Random(20261023)
         ms = ModelSet(16, tuple(format(a, "016b") for a in rng.sample(range(1 << 16), 100)))
-        stop = len(decide(ms).trace[-1].prefix)
-        assert stop < ms.n
         seen, real = [], harness.analyze
 
         def spy(models):
@@ -164,6 +163,11 @@ class TestExamineInstance:
         exam = examine_instance("wide", 0, ms)
         assert exam.agree and exam.alt_compared
         assert len(seen) == 1
+        assert seen[0].cover.strata._built == {}
+        report = decide(seen[0])
+        assert seen[0].cover.strata._built == {}
+        stop = len(report.trace[-1].prefix)
+        assert stop < ms.n
         assert sorted(seen[0].cover.strata._built) == list(range(1, stop + 1))
 
     def test_quine_probe_reads_the_oracle_table(self):

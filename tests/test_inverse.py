@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from inv3sat import inverse
 from inv3sat.closure import decode_mask, encode_clause, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
-from inv3sat.inverse import _projections_occur, analyze, probe, walk
+from inv3sat.inverse import _projections_occur, analyze, open_prefixes, probe, walk
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -364,8 +365,8 @@ class TestPrefixCover:
 
 
 class TestCoverSize:
-    # decide counts the cover from the sorted models' common prefixes and
-    # never builds a stratum the walk does not reach
+    # decide counts the cover from the refinement's group counts and never
+    # builds a stratum its trace does not read
 
     def test_counted_size_is_the_built_size(self):
         rng = random.Random(20261020)
@@ -465,6 +466,14 @@ class TestDecide:
     def test_deadline_expiry_raises(self, worked_models):
         with pytest.raises(TimeoutError):
             decide(worked_models, deadline=0.0)
+
+    def test_deadline_is_checked_without_an_open_prefix(self):
+        # decide checks the deadline once per stratum, not only before a probe
+        analysis = analyze(affine_models(40, 10, seed=0))
+        assert not any(analysis.opened)
+        with pytest.raises(TimeoutError):
+            decide(analysis, deadline=0.0)
+        assert analysis.probes == {}
 
     def test_witness_is_verified_against_raw_candidate(self, worked_models):
         report = decide(worked_models)
@@ -716,6 +725,25 @@ class TestRefuters:
         calls = _count_restrictions(monkeypatch)
         _walk_restricts_only_open_prefixes(parity_models(), calls)
 
+    def test_exhaustive_open_bitsets(self):
+        for n in (3, 4):
+            for ms in generate(InstanceSpec(EXHAUSTIVE, n)):
+                _open_prefixes_are_the_unrefuted(ms)
+
+    def test_affine_n100_answers_off_the_bitsets(self, monkeypatch):
+        # no cover prefix is open: decide restricts nothing and builds no
+        # stratum before its trace is read (0.8-0.9 s when it walked them)
+        calls = _count_restrictions(monkeypatch)
+        ms = affine_models(100, 12, seed=0)
+        start = time.perf_counter()
+        analysis = analyze(ms)
+        report = decide(analysis)
+        elapsed = time.perf_counter() - start
+        assert report.answer is Answer.NO_EXTRA_MODEL
+        assert calls == [] and analysis.probes == {}
+        assert analysis.cover.strata._built == {}
+        assert elapsed < 0.25
+
     def test_affine_n60_walks_without_restricting(self, monkeypatch):
         # 196 608 cover prefixes, every one refuted by its bit
         calls = _count_restrictions(monkeypatch)
@@ -756,7 +784,8 @@ def _probe_matches_saturation(ms, calls):
 def _walk_restricts_only_open_prefixes(ms, calls):
     # walk yields each cover prefix with what restricting and saturating
     # returns, and restricts, and memoises, exactly the prefixes whose
-    # restriction lacks the empty clause
+    # restriction lacks the empty clause: those of open_prefixes, which
+    # each stratum's open bitset gives
     analysis, opened = analyze(ms), []
     steps = walk(analysis)
     for prefix in prefix_cover(ms).entries():
@@ -768,6 +797,9 @@ def _walk_restricts_only_open_prefixes(ms, calls):
             opened.append(prefix)
     assert next(steps, None) is None
     assert list(analysis.probes) == opened
+    assert list(open_prefixes(analysis)) == opened
+    assert analysis.opened == _open_bitsets(ms, opened)
+    _refuter_bit_is_the_groups(ms)
 
 
 class TestParityCounterexample:
@@ -835,3 +867,41 @@ class TestShortStrataNeedNoSaturation:
         for n in range(4, 10):
             for ms in generate(InstanceSpec(RANDOM_SUBSET, n, count=167, seed=20261018)):
                 _short_prefixes_hit_empty_clause(ms)
+
+
+def _open_bitsets(ms, opened):
+    # model r's stratum-k bit is set iff its flipped k-prefix is open
+    want, m = set(opened), len(ms)
+    return [
+        sum(1 << m - 1 - r for r, row in enumerate(ms.models) if row[:k - 1] + "10"[row[k - 1] == "1"] in want)
+        for k in range(1, ms.n + 1)
+    ]
+
+
+def _open_prefixes_are_the_unrefuted(ms):
+    # open_prefixes lists, in walk order, exactly the cover prefixes whose
+    # restriction lacks the empty clause, and each stratum's bitset holds
+    # exactly the models whose flipped prefix is one of them
+    analysis = analyze(ms)
+    want = [
+        p for p in prefix_cover(ms).entries()
+        if 0 not in restrict_mask_clauses(analysis.masks, *prefix_literal_masks(p))
+    ]
+    assert list(open_prefixes(analysis)) == want, ms.models
+    assert analysis.opened == _open_bitsets(ms, want), ms.models
+
+
+def _refuter_bit_is_the_groups(ms):
+    # within a group of models sharing a (k-1)-prefix that takes one value c
+    # at xk, every model has the same bit in refuters[2k + 1 - c]
+    refute = inverse._closure(ms, inverse._columns(ms))[2]
+    m = len(ms)
+    for k in range(1, ms.n + 1):
+        groups = {}
+        for r, row in enumerate(ms.models):
+            groups.setdefault(row[:k - 1], []).append((r, row[k - 1]))
+        for members in groups.values():
+            values = {c for _, c in members}
+            if len(values) == 1:
+                table = refute[2 * k + 1 - int(values.pop())]
+                assert len({table >> m - 1 - r & 1 for r, _ in members}) == 1, (ms.models, k)
