@@ -30,7 +30,7 @@ from .formats import (
     write_cover,
     write_dimacs,
 )
-from .formula import CapExceeded, ENUMERATION_CAP, InputTooSmall, mask_to_models
+from .formula import CapExceeded, Cnf, ENUMERATION_CAP, InputTooSmall, mask_to_models
 from .harness import (
     EXHAUSTIVE,
     GeneratorExhausted,
@@ -54,54 +54,35 @@ from .closure import three_limited_closure
 from .oracle import oracle_decide
 
 
-def cmd_candidate(args: argparse.Namespace) -> int:
-    models = read_models(Path(args.input).read_text())
-    formula = candidate_formula(models)
+def _emit(args: argparse.Namespace, formula: Cnf, **counts: int) -> int:
+    """Write a formula as DIMACS, or under --json as its clauses and `counts`."""
     if args.json:
-        payload = {
-            "num_vars": formula.num_vars,
-            "clause_count": len(formula.clauses),
-            "clauses": [list(c) for c in formula.ordered()],
-        }
+        payload = {"num_vars": formula.num_vars, "clause_count": len(formula.clauses),
+                   "clauses": [list(c) for c in formula.ordered()], **counts}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         sys.stdout.write(write_dimacs(formula))
     return 0
 
 
+def cmd_candidate(args: argparse.Namespace) -> int:
+    return _emit(args, candidate_formula(read_models(Path(args.input).read_text())))
+
+
 def cmd_closure(args: argparse.Namespace) -> int:
-    models = read_models(Path(args.input).read_text())
-    result = three_limited_closure(candidate_formula(models))
+    result = three_limited_closure(candidate_formula(read_models(Path(args.input).read_text())))
+    counts = {"resolution_steps": result.resolution_steps, "subsumption_deletions": result.subsumption_deletions}
     if args.verbose:
-        print(
-            f"resolution_steps={result.resolution_steps} "
-            f"subsumption_deletions={result.subsumption_deletions}",
-            file=sys.stderr,
-        )
-    if args.json:
-        payload = {
-            "num_vars": result.closed_formula.num_vars,
-            "clause_count": len(result.closed_formula.clauses),
-            "clauses": [list(c) for c in result.closed_formula.ordered()],
-            "resolution_steps": result.resolution_steps,
-            "subsumption_deletions": result.subsumption_deletions,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(write_dimacs(result.closed_formula))
-    return 0
+        print(" ".join(f"{key}={value}" for key, value in counts.items()), file=sys.stderr)
+    return _emit(args, result.closed_formula, **counts)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
     models = read_models(Path(args.input).read_text())
     cover = prefix_cover(models)
     if args.json:
-        payload = {
-            "n": cover.n,
-            "kmin": 1,
-            "total": cover.total(),
-            "strata": {str(k): sorted(v) for k, v in sorted(cover.strata.items()) if v},
-        }
+        strata = {str(k): sorted(v) for k, v in sorted(cover.strata.items()) if v}
+        payload = {"n": cover.n, "kmin": 1, "total": cover.total(), "strata": strata}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         sys.stdout.write(write_cover(cover))
@@ -119,7 +100,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         # also when the walk raises (exit 3, an expired --timeout): those runs need explaining most
         if args.verbose:
             t = analysis.timings
-            width = Counter(map(len, analysis.closed.clauses))
+            width = Counter(mask.bit_count() for mask in analysis.masks)  # one bit per literal
             print(
                 "timings: "
                 f"step1={t['step1_candidate_closure']:.3f}s "
@@ -130,8 +111,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
                 f"closed: units={width[1]} pairs={width[2]} triples={width[3]}",
                 file=sys.stderr,
             )
-    yes, trace = report.answer is Answer.EXTRA_MODEL_EXISTS, report.trace  # trace renders per read
+    yes, stop = report.answer is Answer.EXTRA_MODEL_EXISTS, report.stop
     if args.json:
+        trace = report.trace  # renders per read
         payload = {
             "n": report.n,
             "kmin": 1,
@@ -158,14 +140,15 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"input is the exact model set of a 3-CNF: {'no' if yes else 'yes'}")
         if report.witness is not None:
             print(f"witness: {report.witness}")
-        print(f"cover size: {report.cover_size}, prefixes checked: {len(trace)}")
+        refuted = list(report.refuted())  # the trace's strata, with no record per refuted prefix
+        print(f"cover size: {report.cover_size}, prefixes checked: "
+              f"{sum(len(prefixes) for _, prefixes in refuted) + (stop is not None)}")
         print("trace:")
-        for rec in trace:  # decide sorts each closure, and records a refuted one as ((),)
-            shown = "{()}" if rec.contains_empty else "{" + ", ".join(map(format_clause, rec.closure_clauses)) + "}"
-            print(
-                f"  {rec.prefix} k={len(rec.prefix)} closure_size={rec.closure_size} "
-                f"empty={'yes' if rec.contains_empty else 'no'} {shown}"
-            )
+        for k, prefixes in refuted:
+            sys.stdout.write("".join(f"  {p} k={k} closure_size=1 empty=yes {{()}}\n" for p in prefixes))
+        if stop is not None:  # decide sorts its closure
+            print(f"  {stop.prefix} k={len(stop.prefix)} closure_size={stop.closure_size} empty=no "
+                  f"{{{', '.join(map(format_clause, stop.closure_clauses))}}}")
     return 0
 
 

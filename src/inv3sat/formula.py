@@ -11,7 +11,6 @@ on the underlying bit patterns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -55,8 +54,34 @@ def clause_sort_key(clause: Clause) -> tuple[tuple[int, bool], ...]:
     return tuple((abs(lit), lit < 0) for lit in clause)
 
 
-@dataclass(frozen=True)
-class Cnf:
+class _Frozen:
+    """An immutable value of the named `__slots__`: set once in `__init__`,
+    compared, hashed and pickled by their values."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self._values()))})"
+
+
+class Cnf(_Frozen):
     """A CNF formula: a duplicate-free set of clauses over num_vars variables.
 
     Every clause must be canonical (as mk_clause returns it) and mention no
@@ -65,13 +90,13 @@ class Cnf:
     canonical clauses by construction.
     """
 
-    num_vars: int
-    clauses: frozenset[Clause] = field(default_factory=frozenset)
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, clauses: Iterable[Clause] = frozenset()) -> None:
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", frozenset(clauses))
 
     def ordered(self) -> tuple[Clause, ...]:
         """Clauses in canonical order; emission and reports depend on it."""
@@ -94,8 +119,7 @@ def cnf_of(num_vars: int, raw_clauses: Iterable[Iterable[int]]) -> Cnf:
     return Cnf(num_vars, clauses)
 
 
-@dataclass(frozen=True)
-class ModelSet:
+class ModelSet(_Frozen):
     """A nonempty set of distinct total assignments over n variables.
 
     The tuple preserves presentation order (file order, generation order);
@@ -104,24 +128,24 @@ class ModelSet:
     follows presentation order.
     """
 
-    n: int
-    models: tuple[str, ...]
+    __slots__ = ("n", "models")
 
-    def __post_init__(self) -> None:
-        models = tuple(self.models)
+    def __init__(self, n: int, models: Iterable[str]) -> None:
+        models = tuple(models)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "models", models)
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be at least 1")
         if not models:
             raise ValueError("model set must be nonempty")
         # the whole set in C (bytes.translate, not str.strip); the loop names a rejected model
         other = "".join(models).encode("ascii", "replace").translate(None, b"01")
-        if not other and set(map(len, models)) == {self.n} and len(set(models)) == len(models):
+        if not other and set(map(len, models)) == {n} and len(set(models)) == len(models):
             return
         seen = set()
         for m in models:
-            if len(m) != self.n or m.strip("01"):
-                raise ValueError(f"bad model {m!r}: want {self.n} chars over 0/1")
+            if len(m) != n or m.strip("01"):
+                raise ValueError(f"bad model {m!r}: want {n} chars over 0/1")
             if m in seen:
                 raise ValueError(f"duplicate model {m}")
             seen.add(m)

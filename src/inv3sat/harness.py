@@ -31,8 +31,8 @@ from .formula import (
     Cnf,
     ENUMERATION_CAP,
     ModelSet,
+    _true_masks,
     assignment_mask,
-    cnf_of,
     mask_to_models,
     prefix_window,
     satisfying_mask,
@@ -105,12 +105,13 @@ def _gen_3cnf_models(spec: InstanceSpec, index: int) -> tuple[int, ModelSet]:
     inst_seed = derive_seed(spec.seed, index)
     rng = random.Random(inst_seed)
     n = spec.n
+    full = (1 << (1 << n)) - 1  # the drawn clauses are ANDed into truth tables as drawn, unvalidated
+    falsifies = {x: t if x < 0 else full ^ t for v, t in enumerate(_true_masks(n), 1) for x in (v, -v)}
     for _ in range(200):
-        clauses = []
+        mask = full
         for _ in range(rng.randint(2 * n, 4 * n)):
-            vs = rng.sample(range(1, n + 1), 3)
-            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-        mask = satisfying_mask(cnf_of(n, clauses))
+            a, b, c = (v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            mask &= ~(falsifies[a] & falsifies[b] & falsifies[c])
         if mask == 0 or mask.bit_count() > MAX_CNF_MODELS:
             continue
         return inst_seed, ModelSet(n, mask_to_models(mask, n))
@@ -212,8 +213,8 @@ def examine_instance(
 
     checked_restrictions = closed_restrictions = 0
     if closedness_stats:  # a prefix that a refuter bit refutes is closed before saturation
-        checked_restrictions = analysis.cover_size
-        closed_restrictions = analysis.cover_size - sum(
+        checked_restrictions = analysis.cover.size
+        closed_restrictions = analysis.cover.size - sum(
             any(probe(analysis, p)[1:]) for p in open_prefixes(analysis))
     # a restriction is satisfiable iff a model of the closed formula, so of the
     # candidate, extends the prefix; a cover prefix starts no input model
@@ -235,7 +236,7 @@ def examine_instance(
         error=error,
         alt_compared=alt_compared,
         alt_divergence=alt_divergence,
-        quine_pairs=analysis.cover_size if quine_probe else 0,
+        quine_pairs=analysis.cover.size if quine_probe else 0,
         quine_mismatch_prefixes=tuple(mismatches),
         closed_restrictions=closed_restrictions,
         checked_restrictions=checked_restrictions,

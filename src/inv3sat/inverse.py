@@ -13,15 +13,16 @@ against the candidate's definition (each of its 3-projections occurs in
 phi) before being reported.
 
 `analyze` reads the closure, the minimal clauses of width <= 3 that every
-model satisfies, off per-variable model bitsets (`_closure`), and files
-each closed clause in a refuter table of model bitsets.  One partition
-refinement over the same bitsets (`_refine`) gives the cover size and, per
-stratum, the models whose flipped prefix the table leaves open, so
-`decide` probes only those prefixes and builds no stratum; its trace and
+model satisfies, off per-variable model bitsets (`_closure`) as clause
+masks, and files each closed clause in a refuter table of model bitsets.
+One partition refinement over the same bitsets (`_refine`) gives the cover
+size and, per stratum, the models whose group splits there, so a stratum
+is read off the models outside that bitset, and `decide` probes only the
+prefixes the table leaves open, building no stratum; its trace and
 `walk`, the per-prefix loop of the harness's quine probe, build strata
-from the model strings.  Every walk starts at stratum 1: a cover prefix
-of length <= 3 starts no model, so a closed clause refutes it, and the
-paper's walk from stratum 4 is the slice of length >= 4.
+1..k.  Every walk starts at stratum 1: a cover prefix of length <= 3
+starts no model, so a closed clause refutes it, and the paper's walk from
+stratum 4 is the slice of length >= 4.
 `candidate_formula` builds the raw candidate for the CLI and the invariant
 battery; `three_limited_closure` stays step 1's test reference.
 """
@@ -78,13 +79,10 @@ LANE_MODELS = 64
 
 
 def _bitsets(rows: Sequence[str]) -> list[tuple[int, int]]:
-    """`(zeros, ones)` per variable over the given rows, the first row in the top bit."""
-    full = (1 << len(rows)) - 1
-    out = []
-    for bits in zip(*rows):
-        ones = int("".join(bits), 2)
-        out.append((full ^ ones, ones))
-    return out
+    """`(zeros, ones)` per variable over the given rows, the first row in the
+    top bit: variable v's ones are the strided slice `joined[v::n]`."""
+    joined, n, full = "".join(rows), len(rows[0]), (1 << len(rows)) - 1
+    return [(full ^ (ones := int(joined[v::n], 2)), ones) for v in range(n)]
 
 
 def _columns(models: ModelSet) -> list[tuple[int, int]]:
@@ -108,17 +106,17 @@ def _lane_rows(models: ModelSet) -> Sequence[str]:
 _GROUP = 4
 
 
-@functools.lru_cache(maxsize=4)
-def _pair_constants(n: int) -> tuple[int, int, int, list[int], list[int]]:
+# a campaign spans eight variable counts; one entry is at most about 0.5 MB (n = 100)
+@functools.lru_cache(maxsize=16)
+def _pair_constants(n: int) -> tuple[int, int, int, list[int]]:
     """Step 1's masks for pair tables of w = 2n rows of w bits: `zs` has bit
     2w * v for each variable v, `spread` moves bit v there in one multiply
     (no two of its terms meet), `reprows` has bit 0 of each row, `upper[v]`
-    the pairs on variables v <= var(l2) < var(l3); `lit` the clause literals."""
+    the pairs on variables v <= var(l2) < var(l3)."""
     w = 2 * n
     upper = sum(((1 << w) - (1 << 2 * v + 2)) * ((1 << w) + 1) << 2 * v * w for v in range(n))
     return (sum(1 << 2 * w * v for v in range(n)), sum(1 << v * (2 * w - 1) for v in range(n)),
-            ((1 << w * w) - 1) // ((1 << w) - 1), [upper >> 2 * v * w << 2 * v * w for v in range(n + 1)],
-            [x for v in range(1, n + 1) for x in (v, -v)])
+            ((1 << w * w) - 1) // ((1 << w) - 1), [upper >> 2 * v * w << 2 * v * w for v in range(n + 1)])
 
 
 def _ones(digits: str) -> Iterator[int]:
@@ -128,9 +126,9 @@ def _ones(digits: str) -> Iterator[int]:
         yield i
 
 
-def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[int, ...], list[int]]:
-    """The 3-limited closure of the candidate, read off the columns, with
-    its clause masks and the walk's refuter table.
+def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[tuple[int, ...], list[int]]:
+    """The clause masks of the 3-limited closure of the candidate, read off
+    the columns, and the walk's refuter table.
 
     A clause of width <= 3 is in the closure when no model shows its
     falsifying pattern and every proper sub-pattern shows up in some model:
@@ -161,7 +159,7 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[i
     """
     n, rows, m = len(col), _lane_rows(models), len(models)
     w, s, rowmask = 2 * n, len(rows), (1 << 2 * n) - 1
-    zs, spread, reprows, upper, lit = _pair_constants(n)
+    zs, spread, reprows, upper = _pair_constants(n)
     cols = [c for pair in col for c in pair]
     lane = cols if s == m else [c for pair in _bitsets(rows) for c in pair]
     evens, backwards, tables = _positive_slots(n), [r[::-1] for r in reversed(rows)], []
@@ -182,11 +180,10 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[i
 
     # `heads` has bit 0 of each shown literal's row, so `shown * heads` is their outer product
     pg, shown, heads = shown_with((1 << s) - 1), rowmask, reprows
-    closed, masks, refute = [], [], [0] * (w + 2)
+    masks, refute = [], [0] * (w + 2)
     for l, c in enumerate(cols):
         if not c:
             shown, heads = shown ^ 1 << l, heads ^ 1 << w * l
-            closed.append((lit[l],))
             masks.append(1 << l)
             refute[l + 2] = (1 << m) - 1
     for b in _ones(format(upper[0] & shown * heads & ~pg, "b")[::-1]):
@@ -194,20 +191,18 @@ def _closure(models: ModelSet, col: list[tuple[int, int]]) -> tuple[Cnf, tuple[i
         if cols[l1] & cols[l2]:  # shown, though by no lane model
             pg |= 1 << b | 1 << w * l2 + l1
         else:
-            closed.append((lit[l1], lit[l2]))
             masks.append(1 << l1 | 1 << l2)
             refute[l2 + 2] |= cols[l1]
     for l in range(w - 4):  # the literals of x1..x(n-2)
         t = upper[l // 2 + 1] & pg & (pg >> w * l & rowmask) * (pg >> l & reprows)
         if t and (t := t & ~shown_with(lane[l])):
-            x, cx, mx = lit[l], cols[l], 1 << l
+            cx, mx = cols[l], 1 << l
             for b in _ones(format(t, "b")[::-1]):
                 l2, l3 = divmod(b, w)
                 if not (both := cx & cols[l2]) & cols[l3]:
-                    closed.append((x, lit[l2], lit[l3]))
                     masks.append(mx | 1 << l2 | 1 << l3)
                     refute[l3 + 2] |= both
-    return Cnf(n, frozenset(closed)), tuple(masks), refute
+    return tuple(masks), refute
 
 
 def candidate_formula(models: ModelSet) -> Cnf:
@@ -298,32 +293,41 @@ class PrefixCover(NamedTuple):
     n: int
     strata: Mapping[int, tuple[str, ...]]
     models: ModelSet
+    size: int  # the number of prefixes, counted by `_refine` without building a stratum
 
     def entries(self) -> tuple[str, ...]:
         """All prefixes, shortest stratum first, construction order within."""
         return tuple([p for k in range(1, self.n + 1) for p in self.strata.get(k, ())])
 
     def total(self) -> int:
-        """The number of prefixes, counted without building a stratum (`_refine`)."""
-        return _refine(_bitsets(self.models.models))[0]
+        """The number of prefixes, `size`."""
+        return self.size
+
+
+def _flips(rows: Sequence[str], k: int, bits: int) -> tuple[str, ...]:
+    """The k-prefixes, xk flipped, of the rows in `bits` (row r at bit
+    len(rows) - 1 - r), each once, first row first."""
+    digits = format(bits, f"0{len(rows)}b") if bits else ""  # row r at digit r
+    return tuple(dict.fromkeys(rows[r][:k - 1] + "10"[rows[r][k - 1] == "1"] for r in _ones(digits)))
 
 
 class _Strata(Mapping):
-    """Cover strata 1..n by length, each built the first time it is read:
-    stratum k flips the last bit of each length-k model prefix and keeps
-    the flips that no model starts with, in first-occurrence order."""
+    """Cover strata 1..n by length, each built the first time it is read.
 
-    def __init__(self, models: ModelSet) -> None:
-        self._models, self._lengths, self._built = models, range(1, models.n + 1), {}
+    Stratum k flips xk in the k-prefix of each model not in `splits[k - 1]`
+    (`_refine`), first row first: a split group's flips start models, an
+    unsplit one's start none.  The strata are a function of the model
+    set, so equality compares that and builds none."""
+
+    def __init__(self, models: ModelSet, splits: list[int]) -> None:
+        self._models, self._splits, self._lengths, self._built = models, splits, range(1, models.n + 1), {}
 
     def __getitem__(self, k: int) -> tuple[str, ...]:
         if k not in self._built:
             if k not in self._lengths:
                 raise KeyError(k)
-            present = dict.fromkeys(m[:k] for m in self._models.models)  # ordered set
-            flips = (p[:-1] + ("1" if p[-1] == "0" else "0") for p in present)
-            # a list, not a generator: a tuple grown in place fragments the heap
-            self._built[k] = tuple([f for f in flips if f not in present])
+            rows = self._models.models
+            self._built[k] = _flips(rows, k, ~self._splits[k - 1] & (1 << len(rows)) - 1)
         return self._built[k]
 
     def __iter__(self):
@@ -332,13 +336,19 @@ class _Strata(Mapping):
     def __len__(self) -> int:
         return len(self._lengths)
 
+    def __eq__(self, other: object) -> bool:
+        return self._models == other._models if isinstance(other, _Strata) else super().__eq__(other)
 
-def prefix_cover(models: ModelSet, kmin: int = 1) -> PrefixCover:
+
+def prefix_cover(models: ModelSet, kmin: int = 1, *, columns: list[tuple[int, int]] | None = None) -> PrefixCover:
     """The cover strata; every assignment outside the model set extends
-    exactly one prefix over all strata.  kmin must be 1, else ValueError."""
+    exactly one prefix over all strata.  `columns`, the models' `_bitsets`
+    if the caller has them, spares a transposition.  kmin must be 1, else
+    ValueError."""
     if kmin != 1:  # the argument goes with benchmark v2 (ROADMAP item 6)
         raise ValueError(f"kmin {kmin}: every cover starts at stratum 1")
-    return PrefixCover(models.n, _Strata(models), models)
+    size, splits = _refine(columns or _bitsets(models.models))
+    return PrefixCover(models.n, _Strata(models, splits), models, size)
 
 
 class PrefixRecord(NamedTuple):
@@ -361,17 +371,20 @@ class DecisionReport(NamedTuple):
         """The complementary phrasing: no extra model means phi is exact."""
         return self.answer is Answer.NO_EXTRA_MODEL
 
+    def refuted(self) -> Iterator[tuple[int, tuple[str, ...]]]:
+        """`(k, prefixes)` per stratum k up to `stop`'s (or n): the cover
+        prefixes walked before `stop`, all refuted; builds strata 1..k only."""
+        last = self.n if self.stop is None else len(self.stop.prefix)
+        for k in range(1, last + 1):
+            prefixes = self.strata[k]
+            yield k, prefixes if k < last or self.stop is None else prefixes[:prefixes.index(self.stop.prefix)]
+
     @property
     def trace(self) -> tuple[PrefixRecord, ...]:
-        """Every cover prefix in walk order up to `stop` (or all), each before
-        it refuted: rendered per read from strata 1..len(stop.prefix) only."""
-        stop, out = self.stop, []
-        for k in range(1, (self.n if stop is None else len(stop.prefix)) + 1):
-            for prefix in self.strata[k]:
-                if stop is not None and prefix == stop.prefix:
-                    return tuple(out + [stop])
-                out.append(PrefixRecord(prefix, 1, True, ((),)))
-        return tuple(out)
+        """Every cover prefix in walk order up to `stop` (or all), rendered
+        per read from `refuted`, each refuted prefix as `((),)`."""
+        out = [PrefixRecord(prefix, 1, True, ((),)) for _, prefixes in self.refuted() for prefix in prefixes]
+        return tuple(out if self.stop is None else out + [self.stop])
 
 
 def extract_witness(formula: Cnf, prefix: str) -> str:
@@ -422,13 +435,16 @@ class Analysis(NamedTuple):
 
     models: ModelSet
     columns: list[tuple[int, int]]
-    closed: Cnf
     masks: tuple[int, ...]
     cover: PrefixCover
-    cover_size: int
     opened: list[int]
     timings: dict[str, float]
     probes: dict[str, tuple[frozenset[int], int, int]]
+
+    @property
+    def closed(self) -> Cnf:
+        """The closed candidate formula, decoded from `masks` on each read."""
+        return Cnf(self.models.n, frozenset(map(decode_mask, self.masks)))
 
 
 def analyze(models: ModelSet) -> Analysis:
@@ -449,13 +465,13 @@ def analyze(models: ModelSet) -> Analysis:
     """
     start = time.perf_counter()
     columns = _columns(models)
-    closed, masks, refuters = _closure(models, columns)
+    masks, refuters = _closure(models, columns)
     built = time.perf_counter()
-    cover_size, splits = _refine(columns)
+    cover = prefix_cover(models, columns=columns)
     opened = [(ones & ~refuters[2 * k] | zeros & ~refuters[2 * k + 1]) & ~split
-              for k, ((zeros, ones), split) in enumerate(zip(columns, splits), 1)]
+              for k, ((zeros, ones), split) in enumerate(zip(columns, cover.strata._splits), 1)]
     timings = {"step1_candidate_closure": built - start, "step2_prefix_cover": time.perf_counter() - built}
-    return Analysis(models, columns, closed, masks, prefix_cover(models), cover_size, opened, timings, {})
+    return Analysis(models, columns, masks, cover, opened, timings, {})
 
 
 def probe(analysis: Analysis, prefix: str) -> tuple[frozenset[int], int, int]:
@@ -483,8 +499,7 @@ def open_prefixes(analysis: Analysis, *, deadline: float | None = None) -> Itera
     rows = analysis.models.models
     for k, bits in enumerate(analysis.opened, 1):
         _check(deadline)
-        digits = format(bits, f"0{len(rows)}b") if bits else ""  # row r at digit r
-        for prefix in dict.fromkeys(rows[r][:k - 1] + "10"[rows[r][k - 1] == "1"] for r in _ones(digits)):
+        for prefix in _flips(rows, k, bits):
             _check(deadline)
             yield prefix
 
@@ -527,12 +542,6 @@ def decide(models: ModelSet | Analysis, *, deadline: float | None = None) -> Dec
             raise WitnessExtractionFailed(f"witness {witness} for prefix {prefix} failed verification")
         break
 
-    return DecisionReport(
-        answer=Answer.NO_EXTRA_MODEL if stop is None else Answer.EXTRA_MODEL_EXISTS,
-        witness=witness,
-        n=models.n,
-        cover_size=analysis.cover_size,
-        stop=stop,
-        strata=analysis.cover.strata,
-        timings={**analysis.timings, "step3_prefix_walk": time.perf_counter() - start},
-    )
+    answer = Answer.NO_EXTRA_MODEL if stop is None else Answer.EXTRA_MODEL_EXISTS
+    timings = {**analysis.timings, "step3_prefix_walk": time.perf_counter() - start}
+    return DecisionReport(answer, witness, models.n, analysis.cover.size, stop, analysis.cover.strata, timings)

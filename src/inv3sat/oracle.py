@@ -45,12 +45,8 @@ def _literal_bitsets(models: ModelSet) -> list[tuple[int, int]]:
     is set when model r gives variable v+1 the value b."""
     if models.n < 3:
         raise InputTooSmall(f"need at least 3 variables, got {models.n}")
-    full = (1 << len(models)) - 1
-    shown = []
-    for column in zip(*models.models):
-        ones = int("".join(column), 2)
-        shown.append((full ^ ones, ones))
-    return shown
+    rows, n, full = "".join(models.models), models.n, (1 << len(models)) - 1
+    return [(full ^ (ones := int(rows[v::n], 2)), ones) for v in range(n)]  # variable v's column
 
 
 def candidate_models(models: ModelSet) -> int:

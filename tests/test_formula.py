@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,37 @@ class TestModelSet:
         ms = ModelSet(2, ("10", "01"))
         assert ms.member_set() == {"10", "01"}
         assert len(ms) == 2
+
+
+class TestValues:
+    # Cnf and ModelSet are plain classes that behave like the frozen
+    # dataclasses they replaced: equal, hashed, pickled and shown by their
+    # fields, and immutable
+
+    @pytest.mark.parametrize("value", [cnf_of(3, [(1, -2), (3,)]), Cnf(2), ModelSet(3, ("011", "100"))])
+    def test_pickle_round_trip(self, value):
+        # campaign workers with jobs > 1 receive ModelSets
+        again = pickle.loads(pickle.dumps(value))
+        assert type(again) is type(value) and again == value and hash(again) == hash(value)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert ModelSet(2, ["10", "01"]) == ModelSet(2, ("10", "01")) != ModelSet(2, ("01", "10"))
+        assert Cnf(3, [(1,)]) == Cnf(3, frozenset({(1,)})) != Cnf(4, [(1,)])
+        assert hash(Cnf(3, [(1,)])) == hash(Cnf(3, frozenset({(1,)})))
+        assert Cnf(1) != ModelSet(1, ("1",)) and Cnf(3) != (3, frozenset())
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        ms, f = ModelSet(2, ("10",)), Cnf(2)
+        for value, name in ((ms, "n"), (ms, "models"), (f, "num_vars"), (f, "clauses"), (ms, "other")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert ms == ModelSet(2, ("10",)) and f == Cnf(2)
+
+    def test_repr_names_the_fields(self):
+        assert repr(ModelSet(2, ("10",))) == "ModelSet(n=2, models=('10',))"
+        assert repr(Cnf(1, [(1,)])) == "Cnf(num_vars=1, clauses=frozenset({(1,)}))"
 
 
 class TestEvaluation:

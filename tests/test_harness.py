@@ -6,7 +6,7 @@ import time
 import pytest
 
 from inv3sat import (
-    Answer, Cnf, ModelSet, candidate_formula, decide, harness, inverse, oracle_decide,
+    Answer, ModelSet, candidate_formula, cnf_of, decide, harness, inverse, oracle_decide,
 )
 from inv3sat.formula import mask_to_models, prefix_window, satisfying_mask
 from inv3sat.inverse import analyze
@@ -85,6 +85,27 @@ class TestGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             list(generate(InstanceSpec("made-up", 4)))
+
+    def test_3cnf_draws_match_their_validated_formula(self):
+        # the generator ANDs the drawn clauses into truth tables as drawn;
+        # the same draws through cnf_of and satisfying_mask give the same sets
+        for n in (3, 5, 8, 12):
+            spec = InstanceSpec(RANDOM_3CNF_MODELS, n, count=15, seed=4)
+            for index, ms in enumerate(generate(spec)):
+                assert ms == _validated_3cnf_draw(spec, index), (n, index)
+
+
+def _validated_3cnf_draw(spec, index):
+    rng = random.Random(derive_seed(spec.seed, index))
+    n = spec.n
+    while True:  # the generator's budget is not reached here
+        clauses = []
+        for _ in range(rng.randint(2 * n, 4 * n)):
+            vs = rng.sample(range(1, n + 1), 3)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        mask = satisfying_mask(cnf_of(n, clauses))
+        if 0 < mask.bit_count() <= harness.MAX_CNF_MODELS:
+            return ModelSet(n, mask_to_models(mask, n))
 
 
 class TestExamineInstance:
@@ -264,9 +285,8 @@ class TestInvariantBattery:
         real = harness.analyze
 
         def lossy(models):
-            analysis = real(models)
-            dropped = frozenset(sorted(analysis.closed.clauses)[1:])
-            return analysis._replace(closed=Cnf(models.n, dropped))
+            analysis = real(models)  # its closed formula is decoded from its masks
+            return analysis._replace(masks=tuple(sorted(analysis.masks))[1:])
 
         monkeypatch.setattr(harness, "analyze", lossy)
         result = invariant_battery(ModelSet(5, WORKED_MODELS))

@@ -23,7 +23,7 @@ from inv3sat import (
     three_limited_closure,
 )
 from inv3sat import inverse
-from inv3sat.closure import decode_mask, encode_clause, prefix_literal_masks, restrict_mask_clauses, saturate_masks
+from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
 from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
 from inv3sat.inverse import _projections_occur, analyze, open_prefixes, probe, walk
@@ -216,12 +216,14 @@ class TestClosedCandidate:
 
 def _assert_closure_outputs(ms):
     """`_closure`'s clause masks and refuter table against their definitions,
-    the refuters computed from the model strings (first model in the top bit)."""
-    closed, masks, refute = inverse._closure(ms, inverse._columns(ms))
-    assert len(masks) == len(set(masks)) == len(closed.clauses)
-    assert set(masks) == {encode_clause(c) for c in closed.clauses}
+    the refuters computed from the model strings (first model in the top bit);
+    `analyze(ms).closed` decodes the masks."""
+    masks, refute = inverse._closure(ms, inverse._columns(ms))
+    closed = {decode_mask(mask) for mask in masks}
+    assert len(masks) == len(closed) and all(0 < mask.bit_count() <= 3 for mask in masks)
+    assert analyze(ms).closed.clauses == closed
     m, want = len(ms), [0] * (2 * ms.n + 2)
-    for *lower, top in closed.clauses:
+    for *lower, top in closed:
         for r, model in enumerate(ms.models):
             if not any(satisfies_clause((x,), model) for x in lower):  # all models for a unit
                 want[2 * abs(top) + (top < 0)] |= 1 << m - 1 - r
@@ -273,6 +275,97 @@ class TestClosureKernel:
             _assert_closure_is_resolution(ms)
             _assert_closure_outputs(ms)
         assert inverse._pair_constants.cache_info().misses == 3  # the second n = 5 set reuses the first one's
+
+    def test_a_campaign_plans_variable_counts_stay_cached(self):
+        # a campaign plan spans n = 5..12: a second pass over them misses nothing
+        rng = random.Random(20261026)
+        inverse._pair_constants.cache_clear()
+        sets = [_biased_models(rng, n, 20, 0.5) for n in range(5, 13)]
+        for ms in sets + sets:
+            analyze(ms)
+        assert inverse._pair_constants.cache_info().misses == 8
+
+
+def _columns_by_row(rows):
+    # the definition: variable v's ones have bit m - 1 - r for each row r with a 1 at v
+    m = len(rows)
+    ones = [sum(1 << m - 1 - r for r, row in enumerate(rows) if row[v] == "1") for v in range(len(rows[0]))]
+    return [((1 << m) - 1 ^ o, o) for o in ones]
+
+
+def _strata_by_slicing(ms):
+    # the definition: flip the last bit of each model's k-prefix and keep
+    # the flips that start no model, in first-occurrence order
+    strata = {}
+    for k in range(1, ms.n + 1):
+        present = dict.fromkeys(row[:k] for row in ms.models)
+        strata[k] = tuple(f for f in (p[:-1] + "10"[p[-1] == "1"] for p in present) if f not in present)
+    return strata
+
+
+def _random_sets(rng, count, n_max, m_max):
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        m = rng.randint(1, min(1 << n, m_max))
+        yield ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
+
+
+class TestBitsets:
+    # `_bitsets` takes each column as one strided slice of the joined rows
+
+    def test_exhaustive_n1_to_n4(self):
+        for n in range(1, 5):
+            for ms in generate(InstanceSpec(EXHAUSTIVE, n)):
+                assert inverse._bitsets(ms.models) == _columns_by_row(ms.models), ms.models
+
+    @pytest.mark.parametrize("m_max", [1, 64, 300])
+    def test_random_sets(self, m_max):
+        rng = random.Random(20261027 + m_max)
+        for ms in _random_sets(rng, 200, 40, m_max):
+            assert inverse._bitsets(ms.models) == _columns_by_row(ms.models), ms.models
+        wide = ModelSet(40, tuple(format(a, "040b") for a in rng.sample(range(1 << 40), m_max)))
+        assert inverse._bitsets(wide.models) == _columns_by_row(wide.models)
+
+
+class TestStrataOffBitsets:
+    # a stratum is read off the refinement's split bitset; it must be the
+    # slicing definition, in the same order, whether the cover came from
+    # prefix_cover or from analyze's columns
+
+    def test_exhaustive_n1_to_n4(self):
+        for n in range(1, 5):
+            for ms in generate(InstanceSpec(EXHAUSTIVE, n)):
+                assert dict(prefix_cover(ms).strata) == _strata_by_slicing(ms), ms.models
+
+    def test_exhaustive_n3_through_analyze(self):
+        for ms in generate(InstanceSpec(EXHAUSTIVE, 3)):
+            assert dict(analyze(ms).cover.strata) == _strata_by_slicing(ms), ms.models
+
+    def test_random_sets(self):
+        rng = random.Random(20261028)
+        for ms in (ms for m_max in (4, 40, 300) for ms in _random_sets(rng, 150, 12, m_max)):
+            assert dict(prefix_cover(ms).strata) == _strata_by_slicing(ms), ms.models
+            if ms.n >= 3:
+                assert dict(analyze(ms).cover.strata) == _strata_by_slicing(ms), ms.models
+
+    def test_affine_sets(self):
+        for n in range(4, 17):
+            for d in range(1, min(n, 9)):
+                ms = affine_models(n, d, seed=n + d)
+                assert dict(analyze(ms).cover.strata) == _strata_by_slicing(ms), (n, d)
+
+    def test_equality_builds_no_stratum(self, worked_models):
+        # the strata are a function of the model set: two reports compare
+        # by it, and comparing them builds none of the 16 strata
+        rng = random.Random(20261029)
+        ms = ModelSet(16, tuple(format(a, "016b") for a in rng.sample(range(1 << 16), 100)))
+        first, second = analyze(ms), analyze(ModelSet(16, ms.models))
+        assert decide(first)._replace(timings={}) == decide(second)._replace(timings={})
+        assert first.cover.strata._built == second.cover.strata._built == {}
+        assert first.cover.strata != analyze(ModelSet(16, ms.models[::-1])).cover.strata
+        # against another mapping, the strata are built and compared
+        assert prefix_cover(worked_models).strata == {
+            1: (), 2: (), 3: WORKED_STRATUM_3, 4: WORKED_STRATUM_4, 5: WORKED_STRATUM_5}
 
 
 class TestPrefixSets:
@@ -894,7 +987,7 @@ def _open_prefixes_are_the_unrefuted(ms):
 def _refuter_bit_is_the_groups(ms):
     # within a group of models sharing a (k-1)-prefix that takes one value c
     # at xk, every model has the same bit in refuters[2k + 1 - c]
-    refute = inverse._closure(ms, inverse._columns(ms))[2]
+    refute = inverse._closure(ms, inverse._columns(ms))[1]
     m = len(ms)
     for k in range(1, ms.n + 1):
         groups = {}

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import inv3sat
 
@@ -25,14 +27,20 @@ def test_every_exported_name_resolves():
         assert namespace[name] is getattr(inv3sat, name)
 
 
-def test_only_validating_values_are_dataclasses():
+def test_no_class_is_a_dataclass():
+    # Cnf and ModelSet are plain classes, so importing formula neither
+    # decorates a class nor loads dataclasses and inspect
     found = set()
     for info in pkgutil.walk_packages(inv3sat.__path__, "inv3sat."):
         module = importlib.import_module(info.name)
         for value in vars(module).values():
             if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value):
                 found.add(value.__qualname__)
-    assert found == {"Cnf", "ModelSet"}
+    assert found == set()
+    tree = ast.parse(Path(inv3sat.formula.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported
 
 
 def test_result_records_are_tuples():
