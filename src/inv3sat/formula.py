@@ -175,7 +175,8 @@ def evaluate(formula: Cnf, assignment: str) -> bool:
 # (read as a binary string, variable 1 in the most significant position) is in
 # the set.  Lets evaluation of a whole formula run word-parallel.
 
-@functools.lru_cache(maxsize=2)
+# a campaign spans eight variable counts; one entry is n * 2^n / 8 bytes (6 KB at n = 12, 50 MB at n = 24)
+@functools.lru_cache(maxsize=8)
 def _true_masks(n: int) -> tuple[int, ...]:
     """_true_masks(n)[v-1] marks the assignments where variable v is 1.
 

@@ -7,10 +7,10 @@ implementation invariants, and classified.  A failure that survives the
 battery on its minimized instance is evidence about the method itself
 (PAPER-CLAIM); one that does not is a plain bug (IMPLEMENTATION-BUG).
 Campaigns never abort on a broken instance: errors become reports.
-Every walk starts at stratum 1; each instance also re-answers from its
-open prefixes of length >= 4, the paper's floor.  The rendered reports
-keep their old floor field and summary key names, because the
-benchmark's digests hash them.
+Every walk starts at stratum 1; each instance also checks the paper's
+floor, reading the slice of length >= 4 off `decide`'s stop.  The
+rendered reports keep their old floor field and summary key names,
+because the benchmark's digests hash them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .inverse import (
     open_prefixes,
     prefix_cover,
     probe,
-    walk,
 )
 from .oracle import candidate_models, oracle_decide
 
@@ -158,7 +157,6 @@ class Examination(NamedTuple):
     agree: bool
     witness_ok: bool
     error: str | None
-    alt_compared: bool
     alt_divergence: bool
     quine_pairs: int
     quine_mismatch_prefixes: tuple[str, ...]
@@ -179,13 +177,15 @@ def examine_instance(
 ) -> Examination:
     """Run pipeline and oracle on one instance and compare.
 
-    When n >= 4, the open prefixes of length >= 4 (the paper's cover
-    floor) re-answer on their own; strata 1-3 never answer yes, so the two
-    must agree.  Like `decide`, the slice and closedness_stats, which counts
-    restrictions already closed before saturation, read `open_prefixes`
-    and build no stratum.  quine_probe checks, over `walk`, that each cover
-    prefix's restricted closure holds the empty clause iff the restriction
-    is unsatisfiable in the oracle's truth table.
+    When n >= 4, the prefixes of length >= 4 (the paper's cover floor)
+    must answer as `decide` does: every prefix before its stop was refuted
+    and strata 1-3 never answer yes, so a yes must stop at length >= 4.
+    closedness_stats, which counts restrictions already closed before
+    saturation, and quine_probe share one pass over `open_prefixes` and
+    probe each open prefix once, `decide`'s probes reused.  quine_probe
+    checks that each cover prefix's restricted closure holds the empty
+    clause iff the restriction is unsatisfiable in the oracle's truth
+    table; a refuted prefix holds it unprobed.
     """
     n = models.n
     analysis = analyze(models)
@@ -206,21 +206,20 @@ def examine_instance(
     witness_ok = not algo_yes or bool(verdict.extra_mask >> int(witness, 2) & 1)
     agree = error is None and algo_yes == oracle_yes and witness_ok
 
-    alt_compared = n >= 4 and error is None
-    alt_divergence = alt_compared and algo_yes != any(
-        0 not in probe(analysis, prefix)[0] for prefix in open_prefixes(analysis) if len(prefix) >= 4
-    )
+    alt_divergence = n >= 4 and algo_yes and len(report.stop.prefix) < 4
 
+    # in walk order, so the probes are too
+    opened = dict.fromkeys(open_prefixes(analysis) if quine_probe or closedness_stats else ())
     checked_restrictions = closed_restrictions = 0
     if closedness_stats:  # a prefix that a refuter bit refutes is closed before saturation
         checked_restrictions = analysis.cover.size
-        closed_restrictions = analysis.cover.size - sum(
-            any(probe(analysis, p)[1:]) for p in open_prefixes(analysis))
+        closed_restrictions = analysis.cover.size - sum(any(probe(analysis, p)[1:]) for p in opened)
     # a restriction is satisfiable iff a model of the closed formula, so of the
     # candidate, extends the prefix; a cover prefix starts no input model
     mismatches = [
-        prefix for prefix, closed_masks, _, _ in (walk(analysis) if quine_probe else ())
-        if (prefix_window(verdict.extra_mask, prefix, n) != 0) == (0 in closed_masks)
+        prefix for prefix in (analysis.cover.entries() if quine_probe else ())
+        if (prefix_window(verdict.extra_mask, prefix, n) != 0)
+        == (prefix not in opened or 0 in probe(analysis, prefix)[0])
     ]
 
     return Examination(
@@ -234,7 +233,6 @@ def examine_instance(
         agree=agree,
         witness_ok=witness_ok,
         error=error,
-        alt_compared=alt_compared,
         alt_divergence=alt_divergence,
         quine_pairs=analysis.cover.size if quine_probe else 0,
         quine_mismatch_prefixes=tuple(mismatches),
@@ -395,13 +393,13 @@ def classify(exam: Examination, cap: int = ENUMERATION_CAP) -> DiscrepancyReport
 
     def still_failing(ms: ModelSet) -> bool:
         try:
-            probe = examine_instance(
+            trial = examine_instance(
                 "shrink-probe", 0, ms, cap=cap,
                 quine_probe=bool(exam.quine_mismatch_prefixes),
             )
         except Exception:
             return True
-        return probe.needs_attention()
+        return trial.needs_attention()
 
     minimized = shrink(start, still_failing)
     mini_exam = examine_instance(
@@ -524,7 +522,7 @@ def differential_run(
                 yes_answers += 1
                 if exam.witness_ok:
                     witnesses_verified += 1
-            if exam.alt_compared:
+            if exam.n >= 4 and exam.error is None:
                 alt_compared += 1
                 if exam.alt_divergence:
                     alt_divergences += 1

@@ -18,9 +18,8 @@ masks, and files each closed clause in a refuter table of model bitsets.
 One partition refinement over the same bitsets (`_refine`) gives the cover
 size and, per stratum, the models whose group splits there, so a stratum
 is read off the models outside that bitset, and `decide` probes only the
-prefixes the table leaves open, building no stratum; its trace and
-`walk`, the per-prefix loop of the harness's quine probe, build strata
-1..k.  Every walk starts at stratum 1: a cover prefix of length <= 3
+prefixes the table leaves open, building no stratum; its trace builds
+strata 1..k.  Every walk starts at stratum 1: a cover prefix of length <= 3
 starts no model, so a closed clause refutes it, and the paper's walk from
 stratum 4 is the slice of length >= 4.
 `candidate_formula` builds the raw candidate for the CLI and the invariant
@@ -424,10 +423,6 @@ def extract_witness(formula: Cnf, prefix: str) -> str:
     )
 
 
-# what saturate_masks returns on a clause set that holds the empty clause
-_REFUTED = (frozenset({0}), 0, 0)
-
-
 class Analysis(NamedTuple):
     """What one model set's walks need, built once and shared by them.
     `opened[k - 1]` has the models whose flipped k-prefix is an open cover
@@ -502,17 +497,6 @@ def open_prefixes(analysis: Analysis, *, deadline: float | None = None) -> Itera
         for prefix in _flips(rows, k, bits):
             _check(deadline)
             yield prefix
-
-
-def walk(analysis: Analysis, *, deadline: float | None = None) -> Iterator[tuple]:
-    """Yield `(prefix, *probe(analysis, prefix))` for every cover prefix in
-    walk order (`PrefixCover.entries`), but `_REFUTED` unprobed for one that
-    `open_prefixes` skips.  `deadline` is checked before each prefix."""
-    opened = set(open_prefixes(analysis))
-    for k in range(1, analysis.models.n + 1):
-        for prefix in analysis.cover.strata[k]:
-            _check(deadline)
-            yield (prefix, *(probe(analysis, prefix) if prefix in opened else _REFUTED))
 
 
 def decide(models: ModelSet | Analysis, *, deadline: float | None = None) -> DecisionReport:

@@ -341,6 +341,29 @@ def test_stdout_is_pinned(capsys, tmp_path, command, name):
         assert len(out.splitlines()) == 30_725
 
 
+# sha256 of the campaign files, recorded while the harness still re-walked
+# the open prefixes for the stratum-4 slice and `inverse.walk` drove the
+# quine probe: reading the slice off decide's stop moved no byte
+FUZZ_SHA256 = {
+    "quine": (("--exhaustive", "3", "--quine-probe"), {
+        "records.txt": "3a2545a4c52aac0a5671726e916afdfcbd143cd4e1b884f7ba5b4a1f0925ab7b",
+        "summary.json": "79d08249afa9f51b087c819cce811f706dc8da5e9ab67108ed98469d1879cd99",
+    }),
+    "closedness": (("--random", "7:200", "--cnf-random", "7:50", "--seed", "5", "--closedness-sample", "2"), {
+        "records.txt": "196ac2f709632386fbaf836078db12d8220a3a55ae6c232738e1fd3b8617a518",
+        "summary.json": "6b56b8723e6eb2ff13f6563e2b1044adf45eea8b843472b42afd4c531032cd27",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_SHA256))
+def test_fuzz_files_are_pinned(capsys, tmp_path, name):
+    argv, want = FUZZ_SHA256[name]
+    code, _, _ = run(capsys, "fuzz", *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in want} == want
+
+
 class TestExitThree:
     def test_closure_test_failure_says_the_method_failed(self, capsys, parity_file):
         code, out, err = run(capsys, "decide", "--input", parity_file)

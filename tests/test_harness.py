@@ -121,17 +121,86 @@ class TestExamineInstance:
         assert exam.error is None
 
     def test_alt_kmin_comparison_runs(self):
+        # decide stops at 1011, in stratum 4, so the paper's slice answers yes there too
         ms = ModelSet(5, WORKED_MODELS)
         exam = examine_instance("worked", 0, ms)
-        assert exam.alt_compared
+        assert exam.algo_answer == Answer.EXTRA_MODEL_EXISTS.value
         assert not exam.alt_divergence
 
-    def test_n3_instance_has_no_stratum4_slice(self):
-        # below n = 4 there is no prefix of length 4 to re-answer from
-        exam = examine_instance("small", 0, ModelSet(3, ("000", "011", "101")))
+    def test_n3_instance_has_no_stratum4_slice(self, monkeypatch):
+        # below n = 4 there is no prefix of length 4 to compare with: even a
+        # yes stopping in stratum 3 is not flagged, and a campaign compares none
+        ms = ModelSet(3, ("000", "011", "101"))
+        exam = examine_instance("small", 0, ms)
         assert exam.agree
-        assert not exam.alt_compared
         assert not exam.alt_divergence
+        short = _stopped_in_stratum_3(decide(ModelSet(5, WORKED_MODELS)))
+        monkeypatch.setattr(harness, "decide", lambda analysis: short)
+        assert not examine_instance("small", 0, ms).alt_divergence
+        monkeypatch.undo()
+        result = differential_run([InstanceSpec(EXHAUSTIVE, 3)])
+        assert result.instances == 255
+        assert (result.alt_compared, result.alt_divergences) == (0, 0)
+
+    def test_stop_below_stratum_4_is_flagged(self, monkeypatch):
+        # a yes whose stop is shorter than 4 is one the paper's slice need
+        # not give: the check reads it off the stop and the campaign counts it
+        real = inverse.decide
+        monkeypatch.setattr(harness, "decide", lambda analysis: _stopped_in_stratum_3(real(analysis)))
+        exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS))
+        assert exam.agree and exam.alt_divergence
+        assert not exam.needs_attention()
+        result = differential_run([InstanceSpec(RANDOM_SUBSET, n, count=c, seed=9) for n, c in ((3, 4), (5, 12))])
+        assert result.alt_compared == 12
+        assert result.alt_divergences == result.yes_answers > 0
+        assert len(result.alt_divergence_examples) == result.alt_divergences
+        first = result.alt_divergence_examples[0]
+        assert first.startswith("random-subset-n5-s9-") and " n=5 models=" in first
+        assert result.reports == ()
+
+    def test_one_pass_over_the_open_prefixes(self, monkeypatch):
+        # without either statistic, examine_instance lists the open prefixes
+        # only inside decide; with one, it lists them once more and restricts
+        # each open prefix once, decide's probes reused, and no refuted prefix
+        passes, restricted, seen = [], [], []
+        real_open, real_restrict = inverse.open_prefixes, inverse.restrict_mask_clauses
+
+        def listed(where):
+            def wrapper(analysis, **kwargs):
+                passes.append(where)
+                return real_open(analysis, **kwargs)
+            return wrapper
+
+        def counted(*args):
+            restricted.append(args)
+            return real_restrict(*args)
+
+        def spy(models):
+            seen.append(analyze(models))
+            return seen[-1]
+
+        monkeypatch.setattr(inverse, "open_prefixes", listed("decide"))
+        monkeypatch.setattr(harness, "open_prefixes", listed("harness"))
+        monkeypatch.setattr(inverse, "restrict_mask_clauses", counted)
+        monkeypatch.setattr(harness, "analyze", spy)
+        rng = random.Random(20261030)
+        sets = [ModelSet(5, WORKED_MODELS)]
+        for n in rng.choices(range(4, 11), k=60):
+            picks = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 40)))
+            sets.append(ModelSet(n, tuple(format(a, f"0{n}b") for a in picks)))
+        for ms in sets:
+            reference = analyze(ms)
+            decide(reference)
+            opened, decided = list(real_open(reference)), list(reference.probes)
+            for quine, closedness in ((False, False), (True, False), (False, True), (True, True)):
+                for log in (passes, restricted, seen):
+                    log.clear()
+                exam = examine_instance("pass", 0, ms, quine_probe=quine, closedness_stats=closedness)
+                assert exam.agree, ms.models
+                assert passes == (["decide", "harness"] if quine or closedness else ["decide"]), ms.models
+                probed = opened if quine or closedness else decided
+                assert len(restricted) == len(probed), ms.models
+                assert list(seen[0].probes) == probed, ms.models
 
     def test_quine_probe_counts_pairs(self):
         ms = ModelSet(5, WORKED_MODELS)
@@ -147,7 +216,11 @@ class TestExamineInstance:
         ms = ModelSet(5, WORKED_MODELS)
         report = decide(ms)
         monkeypatch.setattr(harness, "decide", lambda analysis: report)
-        monkeypatch.setattr(inverse, "probe", lambda analysis, prefix: (frozenset({0}), 0, 0))
+        def always_empty(analysis, prefix):
+            return frozenset({0}), 0, 0
+
+        monkeypatch.setattr(inverse, "probe", always_empty)
+        monkeypatch.setattr(harness, "probe", always_empty)
         exam = examine_instance("worked", 0, ms, quine_probe=True)
         assert exam.agree
         assert exam.quine_mismatch_prefixes == ("1011", "0111", "11101", "00101")
@@ -165,12 +238,12 @@ class TestExamineInstance:
         monkeypatch.setattr(inverse, "prefix_cover", counted)
         monkeypatch.setattr(harness, "prefix_cover", counted)
         exam = examine_instance("worked", 0, ModelSet(5, WORKED_MODELS), quine_probe=True)
-        assert exam.alt_compared and exam.quine_pairs == 14
+        assert exam.quine_pairs == 14
         assert len(calls) == 1
 
     def test_walk_builds_only_the_strata_decide_reaches(self, monkeypatch):
         # without the quine probe, examine_instance builds no stratum: decide
-        # and the stratum-4 slice read the open prefixes off model bitsets.
+        # reads the open prefixes off model bitsets, the stratum-4 check its stop.
         # Rendering decide's trace builds strata 1..stop only.
         rng = random.Random(20261023)
         ms = ModelSet(16, tuple(format(a, "016b") for a in rng.sample(range(1 << 16), 100)))
@@ -182,7 +255,7 @@ class TestExamineInstance:
 
         monkeypatch.setattr(harness, "analyze", spy)
         exam = examine_instance("wide", 0, ms)
-        assert exam.agree and exam.alt_compared
+        assert exam.agree and not exam.alt_divergence
         assert len(seen) == 1
         assert seen[0].cover.strata._built == {}
         report = decide(seen[0])
@@ -213,6 +286,13 @@ class TestExamineInstance:
         )
         assert exam.checked_restrictions == 14
         assert 0 <= exam.closed_restrictions <= 14
+
+
+def _stopped_in_stratum_3(report):
+    """The report with its stop's prefix cut to length 3, if it has a stop."""
+    if report.stop is None:
+        return report
+    return report._replace(stop=report.stop._replace(prefix=report.stop.prefix[:3]))
 
 
 class TestShrink:

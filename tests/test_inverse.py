@@ -22,11 +22,11 @@ from inv3sat import (
     prefix_cover,
     three_limited_closure,
 )
-from inv3sat import inverse
+from inv3sat import harness, inverse
 from inv3sat.closure import decode_mask, prefix_literal_masks, restrict_mask_clauses, saturate_masks
 from inv3sat.formula import InputTooSmall, prefix_window, satisfies_clause, satisfying_mask
-from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, generate
-from inv3sat.inverse import _projections_occur, analyze, open_prefixes, probe, walk
+from inv3sat.harness import EXHAUSTIVE, RANDOM_SUBSET, InstanceSpec, examine_instance, generate
+from inv3sat.inverse import _projections_occur, analyze, open_prefixes, probe
 
 from conftest import (
     WORKED_CANDIDATE,
@@ -744,21 +744,25 @@ class TestExtractWitness:
         assert evaluate(closed, w)
 
 
-class TestWalk:
-    def test_yields_the_cover_with_its_probes(self):
+class TestOpenPrefixes:
+    def test_probes_answer_for_the_whole_cover(self):
+        # a cover prefix that open_prefixes skips probes to the empty clause
+        # alone, and an open one's probe is what a fresh probe gives
         rng = random.Random(20261022)
         for _ in range(200):
             n = rng.randint(3, 10)
             m = rng.randint(1, min(1 << n, 30))
             ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
-            reference = analyze(ms)
-            expected = [(p, *probe(reference, p)) for p in prefix_cover(ms).entries()]
-            assert list(walk(analyze(ms))) == expected, ms.models
+            reference, analysis = analyze(ms), analyze(ms)
+            opened = set(open_prefixes(analysis))
+            for p in prefix_cover(ms).entries():
+                got = probe(analysis, p) if p in opened else (frozenset({0}), 0, 0)
+                assert got == probe(reference, p), (ms.models, p)
 
     def test_expired_deadline_yields_nothing(self, worked_models):
         analysis = analyze(worked_models)
         with pytest.raises(TimeoutError):
-            next(walk(analysis, deadline=0.0))
+            next(open_prefixes(analysis, deadline=0.0))
         assert analysis.probes == {}
 
 
@@ -770,17 +774,21 @@ class TestProbe:
         assert list(analysis.probes) == ["1011"]
         assert 0 not in first[0]
 
-    def test_walks_share_probes(self, worked_models):
-        # the harness's stratum-4 slice walks after decide, over its probes
+    def test_walks_share_probes(self, worked_models, monkeypatch):
+        # the harness's closedness and quine pass runs after decide, over its probes
         analysis = analyze(worked_models)
         decide(analysis)
         walked = dict(analysis.probes)
-        assert any(0 not in masks for prefix, masks, _, _ in walk(analysis) if len(prefix) >= 4)
-        assert analysis.probes == walked
+        monkeypatch.setattr(harness, "analyze", lambda models: analysis)
+        exam = examine_instance("worked", 0, worked_models, quine_probe=True, closedness_stats=True)
+        assert exam.agree and exam.quine_mismatch_prefixes == ()
+        assert len(walked) < len(analysis.probes)
+        assert all(analysis.probes[p] is result for p, result in walked.items())
+        assert list(analysis.probes) == list(open_prefixes(analysis))
 
-    # probe always restricts and saturates; walk refutes the cover prefixes
-    # whose restriction holds the empty clause without probing them.  Both
-    # must return what restricting and saturating would.
+    # probe always restricts and saturates; open_prefixes skips the cover
+    # prefixes whose restriction holds the empty clause, so none is probed.
+    # A probe must return what restricting and saturating would.
 
     def test_exhaustive_n3_every_prefix(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
@@ -795,7 +803,7 @@ class TestProbe:
 
 
 class TestRefuters:
-    # walk reads each cover prefix's verdict off one bit of the refuter
+    # open_prefixes reads each cover prefix's verdict off one bit of the refuter
     # table that step 1 fills: it must equal whether the restriction of the
     # closed formula holds the empty clause
 
@@ -806,17 +814,17 @@ class TestRefuters:
             n = rng.randint(3, 12)
             m = rng.randint(1, min(1 << n, rng.choice([4, 40, 300])))
             ms = ModelSet(n, tuple(format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)))
-            _walk_restricts_only_open_prefixes(ms, calls)
+            _probes_restrict_only_open_prefixes(ms, calls)
 
     def test_affine_sets(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
         for n in range(4, 17):
             for d in range(1, min(n, 9)):
-                _walk_restricts_only_open_prefixes(affine_models(n, d, seed=n * d), calls)
+                _probes_restrict_only_open_prefixes(affine_models(n, d, seed=n * d), calls)
 
     def test_parity_instance(self, monkeypatch):
         calls = _count_restrictions(monkeypatch)
-        _walk_restricts_only_open_prefixes(parity_models(), calls)
+        _probes_restrict_only_open_prefixes(parity_models(), calls)
 
     def test_exhaustive_open_bitsets(self):
         for n in (3, 4):
@@ -862,7 +870,7 @@ def _count_restrictions(monkeypatch):
 def _probe_matches_saturation(ms, calls):
     # the projection test passes exactly when no closed clause is falsified
     # outright, the probe returns what restricting and saturating returns,
-    # and the walk restricts only the open cover prefixes
+    # and only the open cover prefixes are probed
     analysis = analyze(ms)
     for k in range(ms.n + 1):
         for a in range(1 << k):
@@ -871,26 +879,26 @@ def _probe_matches_saturation(ms, calls):
             assert _projections_occur(analysis.columns, len(ms), prefix) == (0 not in restricted), (
                 ms.models, prefix)
             assert probe(analysis, prefix) == saturate_masks(restricted, ms.n), (ms.models, prefix)
-    _walk_restricts_only_open_prefixes(ms, calls)
+    _probes_restrict_only_open_prefixes(ms, calls)
 
 
-def _walk_restricts_only_open_prefixes(ms, calls):
-    # walk yields each cover prefix with what restricting and saturating
-    # returns, and restricts, and memoises, exactly the prefixes whose
-    # restriction lacks the empty clause: those of open_prefixes, which
-    # each stratum's open bitset gives
+def _probes_restrict_only_open_prefixes(ms, calls):
+    # open_prefixes lists exactly the cover prefixes whose restriction lacks
+    # the empty clause, which each stratum's open bitset gives, and probing
+    # one restricts it once and returns what restricting and saturating
+    # returns; every other cover prefix's restriction holds the empty clause
     analysis, opened = analyze(ms), []
-    steps = walk(analysis)
     for prefix in prefix_cover(ms).entries():
         restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
-        calls.clear()
-        assert next(steps) == (prefix, *saturate_masks(restricted, ms.n)), (ms.models, prefix)
-        assert len(calls) == (0 not in restricted), (ms.models, prefix)
         if 0 not in restricted:
             opened.append(prefix)
-    assert next(steps, None) is None
+    assert list(open_prefixes(analysis)) == opened, ms.models
+    for prefix in opened:
+        restricted = restrict_mask_clauses(analysis.masks, *prefix_literal_masks(prefix))
+        calls.clear()
+        assert probe(analysis, prefix) == saturate_masks(restricted, ms.n), (ms.models, prefix)
+        assert len(calls) == 1, (ms.models, prefix)
     assert list(analysis.probes) == opened
-    assert list(open_prefixes(analysis)) == opened
     assert analysis.opened == _open_bitsets(ms, opened)
     _refuter_bit_is_the_groups(ms)
 

@@ -60,10 +60,10 @@ def test_no_record_carries_a_cover_floor():
 
 def test_no_walk_takes_a_cover_floor():
     from inv3sat.harness import classify, examine_instance
-    from inv3sat.inverse import decide, walk
+    from inv3sat.inverse import decide, open_prefixes
 
-    for fn in (decide, walk, examine_instance, classify):
+    for fn in (decide, open_prefixes, examine_instance, classify):
         assert "kmin" not in inspect.signature(fn).parameters, fn.__name__
     # a floor still passed by position fails instead of reading as a deadline
-    for fn in (decide, walk):
+    for fn in (decide, open_prefixes):
         assert inspect.signature(fn).parameters["deadline"].kind is inspect.Parameter.KEYWORD_ONLY
