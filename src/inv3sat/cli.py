@@ -145,7 +145,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
               f"{sum(len(prefixes) for _, prefixes in refuted) + (stop is not None)}")
         print("trace:")
         for k, prefixes in refuted:
-            sys.stdout.write("".join(f"  {p} k={k} closure_size=1 empty=yes {{()}}\n" for p in prefixes))
+            if prefixes:  # one join per stratum: `sep` ends one line and starts the next
+                sep = f" k={k} closure_size=1 empty=yes {{()}}\n  "
+                sys.stdout.write(f"  {sep.join(prefixes)}{sep[:-2]}")
         if stop is not None:  # decide sorts its closure
             print(f"  {stop.prefix} k={len(stop.prefix)} closure_size={stop.closure_size} empty=no "
                   f"{{{', '.join(map(format_clause, stop.closure_clauses))}}}")

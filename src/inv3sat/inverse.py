@@ -305,9 +305,13 @@ class PrefixCover(NamedTuple):
 
 def _flips(rows: Sequence[str], k: int, bits: int) -> tuple[str, ...]:
     """The k-prefixes, xk flipped, of the rows in `bits` (row r at bit
-    len(rows) - 1 - r), each once, first row first."""
-    digits = format(bits, f"0{len(rows)}b") if bits else ""  # row r at digit r
-    return tuple(dict.fromkeys(rows[r][:k - 1] + "10"[rows[r][k - 1] == "1"] for r in _ones(digits)))
+    len(rows) - 1 - r), each once, first row first: one `find` scan of one
+    digit string, linear in len(rows), not a shift per bit."""
+    digits, out, r, j = format(bits, f"0{len(rows)}b"), {}, -1, k - 1  # row r at digit r
+    while (r := digits.find("1", r + 1)) >= 0:
+        row = rows[r]
+        out[row[:j] + "10"[row[j] == "1"]] = None
+    return tuple(out)
 
 
 class _Strata(Mapping):
@@ -490,11 +494,13 @@ def _check(deadline: float | None) -> None:
 def open_prefixes(analysis: Analysis, *, deadline: float | None = None) -> Iterator[str]:
     """The cover prefixes no refuter bit refutes, in walk order, building no
     stratum: per stratum k, each open model's k-prefix with xk flipped, once,
-    first row first.  `deadline` is checked per stratum and before each one."""
+    first row first.  A stratum whose `opened` bitset is 0 calls no `_flips`,
+    yet `deadline` is checked per stratum, empty ones too, and before each
+    prefix."""
     rows = analysis.models.models
     for k, bits in enumerate(analysis.opened, 1):
         _check(deadline)
-        for prefix in _flips(rows, k, bits):
+        for prefix in _flips(rows, k, bits) if bits else ():
             _check(deadline)
             yield prefix
 

@@ -315,14 +315,24 @@ def parity_file(tmp_path):
     return str(path)
 
 
+# Three models over 18 variables, the benchmark's dense regime: no extra
+# model, and from stratum 6 on every stratum holds one flip per model.
+DENSE_MODELS = ("101101101010011101", "110101101010100101", "110111011010010111")
+
 # sha256 of stdout, recorded when every stratum was still built by slicing
 # the model strings and every trace line printed from its own record:
-# reading strata off bitsets and writing a stratum at a time moved no byte
+# reading strata off bitsets and writing a stratum at a time moved no byte.
+# The --json and dense pins were recorded while each trace line was still
+# formatted per prefix and `_flips` ran on every stratum.
 STDOUT_SHA256 = {
     ("decide", "affine"): "6a4956368329e336a6230baea44ba01729d52ed7c6dd47034026485ebda564ee",
+    ("decide --json", "affine"): "e6420b76be29a87a6bc4f40f4db824f859cd9ddafccf3893df435b6701601e66",
     ("cover", "affine"): "13a37cd693e7100ca6ec45de972c8361edf2c3ad2102ce48dbb5a8f37bc241d0",
     ("decide", "worked"): "f2998c8fae257e736ee79845f156eda35a61c6a3b6ef0a82f054f7d28edd6e6d",
+    ("decide --json", "worked"): "79cdb6aa75733cee045c3dcc392d9dfaae6cb86e84a7d4071d0084227fa3bde0",
     ("cover", "worked"): "8f495d2ed257122bb4a45c9cd30b7025a95217075a2a079cef0756a781bb6dac",
+    ("decide", "dense"): "356b06aa686474547feadcc3940679b930b772950cb27859f10b9e441eca1a92",
+    ("decide --json", "dense"): "5344fc60e9c149585e34ce2261df2a929e9daac6f02e173cdb50d8483d7d9ddc",
     ("decide", "parity"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # exits 3
     ("cover", "parity"): "164795adf4e2ff0f1e7a901cadbb8df09b677d31c9298f23bdbbc613d8852fcf",
 }
@@ -331,10 +341,10 @@ STDOUT_SHA256 = {
 @pytest.mark.parametrize("command, name", sorted(STDOUT_SHA256))
 def test_stdout_is_pinned(capsys, tmp_path, command, name):
     models = {"affine": affine_models(40, 10, 0), "worked": ModelSet(5, WORKED_MODELS),
-              "parity": parity_models()}[name]
+              "dense": ModelSet(18, DENSE_MODELS), "parity": parity_models()}[name]
     path = tmp_path / f"{name}.models"
     path.write_text("\n".join(models.models) + "\n")
-    code, out, _ = run(capsys, command, "--input", str(path))
+    code, out, _ = run(capsys, *command.split(), "--input", str(path))
     assert code == (3 if (command, name) == ("decide", "parity") else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, name]
     if name == "affine" and command == "decide":

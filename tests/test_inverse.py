@@ -368,6 +368,49 @@ class TestStrataOffBitsets:
             1: (), 2: (), 3: WORKED_STRATUM_3, 4: WORKED_STRATUM_4, 5: WORKED_STRATUM_5}
 
 
+def _flips_by_definition(rows, k, bits):
+    # the reference definition: dict.fromkeys over the 1s of the row digit string
+    digits = format(bits, f"0{len(rows)}b") if bits else ""
+    return tuple(dict.fromkeys(rows[r][:k - 1] + "10"[rows[r][k - 1] == "1"] for r in inverse._ones(digits)))
+
+
+def _dense_models(seed):
+    # the benchmark's dense regime: three random models over 18 variables
+    rng = random.Random(seed)
+    return ModelSet(18, tuple(format(a, "018b") for a in rng.sample(range(1 << 18), 3)))
+
+
+class TestFlips:
+    # `_flips` scans one digit string; it must give the dict.fromkeys
+    # definition's prefixes in the same order
+
+    def _check(self, rows, rng):
+        m, n = len(rows), len(rows[0])
+        full = (1 << m) - 1
+        for k in range(1, n + 1):
+            for bits in (0, full, rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m), 1, 1 << m - 1):
+                assert inverse._flips(rows, k, bits) == _flips_by_definition(rows, k, bits), (m, k)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 65, 300, 5000])
+    def test_random_rows(self, m):
+        rng = random.Random(20261033 + m)
+        n = max(3, m.bit_length() + 2)
+        self._check([format(a, f"0{n}b") for a in rng.sample(range(1 << n), m)], rng)
+
+    @pytest.mark.parametrize("m", [2, 40, 5000])
+    def test_rows_with_shared_prefixes(self, m):
+        # few distinct prefixes, so most flips repeat one seen before
+        rng = random.Random(20261034 + m)
+        heads = [format(a, "06b") for a in rng.sample(range(64), 3)]
+        rows = list(dict.fromkeys(rng.choice(heads) + format(rng.getrandbits(14), "014b") for _ in range(m)))
+        self._check(rows, rng)
+
+    def test_dense_and_worked_sets(self, worked_models):
+        rng = random.Random(20261035)
+        for ms in (worked_models, _dense_models(20261036), affine_models(16, 6, seed=0)):
+            self._check(list(ms.models), rng)
+
+
 class TestPrefixSets:
     def test_model_prefixes(self, worked_models):
         # the length-4 strings that extend no cover prefix start a model
@@ -561,12 +604,18 @@ class TestDecide:
             decide(worked_models, deadline=0.0)
 
     def test_deadline_is_checked_without_an_open_prefix(self):
-        # decide checks the deadline once per stratum, not only before a probe
-        analysis = analyze(affine_models(40, 10, seed=0))
-        assert not any(analysis.opened)
-        with pytest.raises(TimeoutError):
-            decide(analysis, deadline=0.0)
-        assert analysis.probes == {}
+        # the deadline is checked once per stratum, not only before a probe,
+        # so also on sets that open no stratum and so call no `_flips`:
+        # an affine set and three models over 18 variables
+        for ms in (affine_models(40, 10, seed=0), _dense_models(20261030)):
+            analysis = analyze(ms)
+            assert not any(analysis.opened)
+            with pytest.raises(TimeoutError):
+                next(open_prefixes(analysis, deadline=0.0))
+            with pytest.raises(TimeoutError):
+                decide(analysis, deadline=0.0)
+            assert analysis.probes == {}
+            assert decide(analysis).answer is Answer.NO_EXTRA_MODEL
 
     def test_witness_is_verified_against_raw_candidate(self, worked_models):
         report = decide(worked_models)
@@ -764,6 +813,25 @@ class TestOpenPrefixes:
         with pytest.raises(TimeoutError):
             next(open_prefixes(analysis, deadline=0.0))
         assert analysis.probes == {}
+
+    def test_flips_only_the_open_strata(self, monkeypatch):
+        # a stratum whose `opened` bitset is 0 costs a deadline check, no `_flips`
+        calls, flips = [], inverse._flips
+
+        def counted(rows, k, bits):
+            calls.append(k)
+            return flips(rows, k, bits)
+
+        monkeypatch.setattr(inverse, "_flips", counted)
+        rng, mixed = random.Random(20261031), 0
+        for ms in [_dense_models(20261032)] + [ms for ms in _random_sets(rng, 200, 10, 30) if ms.n >= 3]:
+            analysis = analyze(ms)
+            calls.clear()
+            got = list(open_prefixes(analysis))
+            assert calls == [k for k, bits in enumerate(analysis.opened, 1) if bits], ms.models
+            assert got == [p for k in calls for p in flips(ms.models, k, analysis.opened[k - 1])]
+            mixed += any(analysis.opened) and not all(analysis.opened)
+        assert mixed
 
 
 class TestProbe:
